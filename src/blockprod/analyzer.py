@@ -11,23 +11,23 @@ escape hatch.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import itertools
+import math
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .blockform import BlockUpperTriangular
-from .errors import AnalysisRefusedError, CertificateViolationError, ShapeError
+from .errors import AnalysisRefusedError, NoContractingNormError, ShapeError
 from .matrixcore import (
     BUILTIN_NORMS,
     ContractionCertificate,
-    FROBENIUS,
-    lyapunov_norm,
+    _stein_certificate,
     norm_value,
-    solve_right,
     spectral_certificate,
 )
-from .product import ProductState, TraceRow, initial_state, step, trace_row
+from .product import TraceRow, initial_state, limit_candidate, step, trace_row
 
 __all__ = [
     "Periodic",
@@ -93,8 +93,9 @@ class AnalyzerConfig:
     k_max: int = 64
 
     def __post_init__(self):
-        if min(self.eps, self.horizon, self.window, self.k_max) <= 0:
-            raise ValueError("all configuration values must be positive")
+        values = (self.eps, self.horizon, self.window, self.k_max)
+        if not all(0 < v < math.inf for v in values):
+            raise ValueError("all configuration values must be positive and finite")
         if self.window > self.horizon:
             raise ValueError("window must not exceed horizon")
 
@@ -132,21 +133,13 @@ class AnalysisReport:
             raise ValueError("limit present iff the verdict is a convergence")
 
 
-def _limit_dense(s: int, csize: int, l: np.ndarray) -> np.ndarray:
-    out = np.zeros((s + csize, s + csize), dtype=np.complex128)
-    out[:s, :s] = np.eye(s)
-    out[:s, s:] = l
-    return out
+def _limit_dense(l: np.ndarray) -> np.ndarray:
+    """The limit [[I, L], [0, 0]] of a product whose candidates tend to L."""
+    m = l.shape[1]
+    return BlockUpperTriangular(l.shape[0], l, np.zeros((m, m))).to_dense()
 
 
-def _limit_candidate(a: BlockUpperTriangular) -> np.ndarray:
-    eye = np.eye(a.csize, dtype=np.complex128)
-    return solve_right(a.b, eye - a.c)
-
-
-def uniform_certificate(
-    cs: Sequence[np.ndarray], k_max: int = 64
-) -> ContractionCertificate | None:
+def uniform_certificate(cs: Sequence[np.ndarray]) -> ContractionCertificate | None:
     """A single norm contracting every matrix in *cs*, or None.
 
     Tries the built-in norms first (rate = the largest member norm), then a
@@ -160,23 +153,10 @@ def uniform_certificate(
         r = max(norm_value(c, norm) for c in cs)
         if r < 1.0:
             return ContractionCertificate(norm, r, "declared")
-    n = cs[0].shape[0]
-    op = np.eye(n * n, dtype=np.complex128)
-    for c in cs:
-        op -= np.kron(c.T, c.conj().T)
     try:
-        vec_p = np.linalg.solve(op, np.eye(n, dtype=np.complex128).flatten("F"))
-    except np.linalg.LinAlgError:
+        return _stein_certificate(cs)
+    except NoContractingNormError:
         return None
-    p = vec_p.reshape((n, n), order="F")
-    try:
-        norm = lyapunov_norm(p)
-    except ShapeError:
-        return None
-    r = max(norm_value(c, norm) for c in cs)
-    if r >= 1.0:
-        return None
-    return ContractionCertificate(norm, r, "lyapunov")
 
 
 def cycle_accumulation_points(
@@ -198,8 +178,7 @@ def cycle_accumulation_points(
             a = cycle[(j + t) % p]
             s_acc = a.b + s_acc @ a.c
             gamma = gamma @ a.c
-        eye = np.eye(cycle[0].csize, dtype=np.complex128)
-        fixed = solve_right(s_acc, eye - gamma)
+        fixed = limit_candidate(s_acc, gamma)
         if all(np.linalg.norm(fixed - q) > dedupe_tol for q in points):
             points.append(fixed)
     return points
@@ -207,17 +186,14 @@ def cycle_accumulation_points(
 
 def _certificate_for_members(
     members: Sequence[BlockUpperTriangular],
-    cfg: AnalyzerConfig,
     cert: ContractionCertificate | None,
 ) -> ContractionCertificate:
+    """Check a given certificate against every member, or find one."""
     if cert is not None:
-        if cert.kind in ("declared", "lyapunov"):
-            for i, a in enumerate(members, start=1):
-                val = norm_value(a.c, cert.norm)
-                if val > cert.rate * (1 + 1e-12) + 1e-15:
-                    raise CertificateViolationError(i, val, cert.rate)
+        for i, a in enumerate(members, start=1):
+            cert.check(a.c, i)
         return cert
-    found = uniform_certificate([a.c for a in members], cfg.k_max)
+    found = uniform_certificate([a.c for a in members])
     if found is None:
         raise AnalysisRefusedError(
             "no uniform contraction certificate found for the presentation"
@@ -228,14 +204,13 @@ def _certificate_for_members(
 def _analyze_periodic(
     seq: Periodic, cfg: AnalyzerConfig, cert: ContractionCertificate | None
 ) -> AnalysisReport:
-    cert = _certificate_for_members(seq.cycle, cfg, cert)
-    ls = [_limit_candidate(a) for a in seq.cycle]
+    cert = _certificate_for_members(seq.cycle, cert)
+    ls = [limit_candidate(a.b, a.c) for a in seq.cycle]
     spread = max(float(np.linalg.norm(l - ls[0])) for l in ls)
-    s, m = seq.cycle[0].s, seq.cycle[0].csize
     if spread <= cfg.eps:
         return AnalysisReport(
             verdict=Verdict.CERTIFIED_CONVERGED,
-            limit=_limit_dense(s, m, ls[0]),
+            limit=_limit_dense(ls[0]),
             certificate=cert,
         )
     points = cycle_accumulation_points(seq.cycle, dedupe_tol=100 * cfg.eps)
@@ -255,77 +230,117 @@ def _analyze_finite(
 ) -> AnalysisReport:
     last = seq.members[-1]
     if cert is not None:
-        cert = _certificate_for_members(seq.members, cfg, cert)
+        cert = _certificate_for_members(seq.members, cert)
     else:
         cert = spectral_certificate(last.c, cfg.k_max)
         if cert is None:
             raise AnalysisRefusedError(
                 "could not certify contraction of the eventual constant factor"
             )
-    l = _limit_candidate(last)
     return AnalysisReport(
         verdict=Verdict.CERTIFIED_CONVERGED,
-        limit=_limit_dense(last.s, last.csize, l),
+        limit=_limit_dense(limit_candidate(last.b, last.c)),
         certificate=cert,
     )
+
+
+def _stream_factors(
+    factors: Iterable[BlockUpperTriangular], horizon: int
+) -> Iterator[BlockUpperTriangular]:
+    """The first *horizon* factors of a stream, which must all share the
+    block orders (s, m) of the first."""
+    split = None
+    for n, a in enumerate(itertools.islice(factors, horizon), start=1):
+        if split is None:
+            split = (a.s, a.csize)
+        elif (a.s, a.csize) != split:
+            raise ShapeError(
+                f"stream factor {n} has (s, m) = ({a.s}, {a.csize}); "
+                f"the stream began with {split}"
+            )
+        yield a
+
+
+@dataclass
+class _StreakDetector:
+    """Numerical verdicts on a stream of values v_1, v_2, ... that converge
+    exactly when the product does.
+
+    ``update`` takes the next value and returns a report once a test fires:
+    |v_n| leaves the ball of radius 1/eps (diverged); ``window`` consecutive
+    steps have ``step_norm(v_n - v_{n-1}) < eps`` (converged); ``window``
+    consecutive values return near v_{n-2} while far from v_{n-1} (diverged,
+    with two accumulation points).  *candidate* maps a value to its limit
+    candidate.
+    """
+
+    cfg: AnalyzerConfig
+    cert: ContractionCertificate
+    what: str
+    step_norm: Callable[[np.ndarray], float]
+    candidate: Callable[[np.ndarray], np.ndarray]
+    last: list[np.ndarray] = field(default_factory=list)  # the latest three
+    small_streak: int = 0
+    osc_streak: int = 0
+
+    def update(self, v: np.ndarray) -> AnalysisReport | None:
+        eps, window = self.cfg.eps, self.cfg.window
+        if float(np.linalg.norm(v)) > 1.0 / eps:
+            return AnalysisReport(
+                verdict=Verdict.DIVERGED_NUMERICALLY,
+                certificate=self.cert,
+                witness=Witness(f"{self.what} left the ball of radius 1/eps"),
+            )
+        last = self.last = self.last[-2:] + [v]
+        if len(last) < 2:
+            return None
+        small = self.step_norm(v - last[-2]) < eps
+        self.small_streak = self.small_streak + 1 if small else 0
+        if self.small_streak >= window:
+            return AnalysisReport(
+                verdict=Verdict.CONVERGED_NUMERICALLY,
+                limit=_limit_dense(self.candidate(v)),
+                certificate=self.cert,
+            )
+        if len(last) < 3:
+            return None
+        near_two_back = np.linalg.norm(v - last[0]) < eps
+        far_one_back = np.linalg.norm(v - last[1]) > 100 * eps
+        self.osc_streak = self.osc_streak + 1 if near_two_back and far_one_back else 0
+        if self.osc_streak >= window:
+            return AnalysisReport(
+                verdict=Verdict.DIVERGED_NUMERICALLY,
+                certificate=self.cert,
+                witness=Witness(
+                    f"two persistent accumulation points of the {self.what}",
+                    (self.candidate(last[1]), self.candidate(last[2])),
+                ),
+            )
+        return None
 
 
 def _analyze_stream(
     seq: Stream, cfg: AnalyzerConfig, cert: ContractionCertificate | None
 ) -> AnalysisReport:
-    if cert is None or cert.kind == "gelfand":
+    if cert is None:
         raise AnalysisRefusedError(
             "stream analysis needs a declared (or Lyapunov) contraction "
             "certificate checked at every step"
         )
-    state: ProductState | None = None
+    detector = _StreakDetector(
+        cfg, cert, "limit candidate", lambda y: norm_value(y, cert.norm), lambda l: l
+    )
+    state = None
     trace: list[TraceRow] = []
-    small_streak = 0
-    osc_streak = 0
-    l_hist: list[np.ndarray] = []
-    for a in seq.factors:
+    for a in _stream_factors(seq.factors, cfg.horizon):
         if state is None:
             state = initial_state(a.s, a.csize)
         state = step(state, a, cert)
         trace.append(trace_row(state, cert))
-        if float(np.linalg.norm(state.l)) > 1.0 / cfg.eps:
-            return AnalysisReport(
-                verdict=Verdict.DIVERGED_NUMERICALLY,
-                certificate=cert,
-                witness=Witness("limit candidate left the ball of radius 1/eps"),
-                trace=tuple(trace),
-            )
-        if state.y_prev is not None:
-            small_streak = (
-                small_streak + 1
-                if norm_value(state.y_prev, cert.norm) < cfg.eps
-                else 0
-            )
-            if small_streak >= cfg.window:
-                return AnalysisReport(
-                    verdict=Verdict.CONVERGED_NUMERICALLY,
-                    limit=_limit_dense(a.s, a.csize, state.l),
-                    certificate=cert,
-                    trace=tuple(trace),
-                    deviation_bound=state.bound,
-                )
-        l_hist.append(state.l)
-        if len(l_hist) >= 3:
-            near_two_back = np.linalg.norm(l_hist[-1] - l_hist[-3]) < cfg.eps
-            far_one_back = np.linalg.norm(l_hist[-1] - l_hist[-2]) > 100 * cfg.eps
-            osc_streak = osc_streak + 1 if near_two_back and far_one_back else 0
-            if osc_streak >= cfg.window:
-                return AnalysisReport(
-                    verdict=Verdict.DIVERGED_NUMERICALLY,
-                    certificate=cert,
-                    witness=Witness(
-                        "two persistent accumulation points of the limit candidate",
-                        (l_hist[-2].copy(), l_hist[-1].copy()),
-                    ),
-                    trace=tuple(trace),
-                )
-        if state.n >= cfg.horizon:
-            break
+        report = detector.update(state.l)
+        if report is not None:
+            bound = state.bound if report.limit is not None else None
+            return replace(report, trace=tuple(trace), deviation_bound=bound)
     return AnalysisReport(
         verdict=Verdict.INCONCLUSIVE, certificate=cert, trace=tuple(trace)
     )
@@ -342,8 +357,9 @@ def analyze(
     by equality of the limit candidates; Streams get numerical verdicts from
     running the product engine up to the horizon.  Raises
     :class:`AnalysisRefusedError` when no contraction certificate can be
-    obtained, and :class:`CertificateViolationError` when a declared one is
-    contradicted by the data.
+    obtained, :class:`CertificateViolationError` when a given one is
+    contradicted by the data, and :class:`InvalidCertificateError` when a
+    given one is a Gelfand certificate, which bounds no single factor.
     """
     cfg = cfg or AnalyzerConfig()
     if isinstance(seq, Periodic):
@@ -370,26 +386,20 @@ def corollary1_analyze(
         raise AnalysisRefusedError(
             "could not certify that the limit C-block has spectral radius < 1"
         )
-    eye = np.eye(c_limit.shape[0], dtype=np.complex128)
-
-    def candidate(b: np.ndarray) -> np.ndarray:
-        return solve_right(b, eye - c_limit)
-
     if isinstance(seq, (Periodic, Finite)):
         members = seq.cycle if isinstance(seq, Periodic) else seq.members
-        s, m = members[0].s, members[0].csize
         bs = [a.b for a in members]
         if isinstance(seq, Finite) or max(
             float(np.linalg.norm(b - bs[0])) for b in bs
         ) <= cfg.eps:
             return AnalysisReport(
                 verdict=Verdict.CERTIFIED_CONVERGED,
-                limit=_limit_dense(s, m, candidate(bs[-1])),
+                limit=_limit_dense(limit_candidate(bs[-1], c_limit)),
                 certificate=cert,
             )
         points: list[np.ndarray] = []
         for b in bs:
-            pt = candidate(b)
+            pt = limit_candidate(b, c_limit)
             if all(np.linalg.norm(pt - q) > 100 * cfg.eps for q in points):
                 points.append(pt)
         return AnalysisReport(
@@ -401,50 +411,18 @@ def corollary1_analyze(
             ),
         )
 
-    # stream: Cauchy test on the B-blocks alone
-    prev: list[np.ndarray] = []
-    small_streak = 0
-    osc_streak = 0
-    n = 0
-    shape: tuple[int, int] | None = None
-    for a in seq.factors:
-        n += 1
-        shape = (a.s, a.csize)
-        b = a.b
-        if float(np.linalg.norm(b)) > 1.0 / cfg.eps:
-            return AnalysisReport(
-                verdict=Verdict.DIVERGED_NUMERICALLY,
-                certificate=cert,
-                witness=Witness("B-blocks left the ball of radius 1/eps"),
-            )
-        if prev:
-            small_streak = (
-                small_streak + 1
-                if np.linalg.norm(b - prev[-1]) < cfg.eps
-                else 0
-            )
-            if small_streak >= cfg.window:
-                return AnalysisReport(
-                    verdict=Verdict.CONVERGED_NUMERICALLY,
-                    limit=_limit_dense(shape[0], shape[1], candidate(b)),
-                    certificate=cert,
-                )
-        prev.append(b)
-        if len(prev) >= 3:
-            near = np.linalg.norm(prev[-1] - prev[-3]) < cfg.eps
-            far = np.linalg.norm(prev[-1] - prev[-2]) > 100 * cfg.eps
-            osc_streak = osc_streak + 1 if near and far else 0
-            if osc_streak >= cfg.window:
-                return AnalysisReport(
-                    verdict=Verdict.DIVERGED_NUMERICALLY,
-                    certificate=cert,
-                    witness=Witness(
-                        "two persistent accumulation points of the B-blocks",
-                        (candidate(prev[-2]), candidate(prev[-1])),
-                    ),
-                )
-        if n >= cfg.horizon:
-            break
+    # stream: the streak tests on the B-blocks alone
+    detector = _StreakDetector(
+        cfg,
+        cert,
+        "B-blocks",
+        lambda y: float(np.linalg.norm(y)),
+        lambda b: limit_candidate(b, c_limit),
+    )
+    for a in _stream_factors(seq.factors, cfg.horizon):
+        report = detector.update(a.b)
+        if report is not None:
+            return report
     return AnalysisReport(verdict=Verdict.INCONCLUSIVE, certificate=cert)
 
 
@@ -461,9 +439,7 @@ class RcpVerdict:
 
 
 def certify_rcp(
-    sigma: Sequence[BlockUpperTriangular],
-    atol: float = 1e-9,
-    cfg: AnalyzerConfig | None = None,
+    sigma: Sequence[BlockUpperTriangular], atol: float = 1e-9
 ) -> RcpVerdict:
     """Certify whether every infinite right product from *sigma* converges.
 
@@ -472,16 +448,17 @@ def certify_rcp(
     the accumulation points of its alternating product as a divergence
     witness.  Requires one common contracting norm over the whole set.
     """
-    cfg = cfg or AnalyzerConfig()
+    if not 0 <= atol < math.inf:
+        raise ValueError(f"atol must be a finite number >= 0, got {atol!r}")
     sigma = list(sigma)
     _check_conforming(sigma, "set")
-    cert = uniform_certificate([a.c for a in sigma], cfg.k_max)
+    cert = uniform_certificate([a.c for a in sigma])
     if cert is None:
         raise AnalysisRefusedError(
             "no common contracting norm found; the set is not certifiably "
             "uniformly contracting"
         )
-    ls = [_limit_candidate(a) for a in sigma]
+    ls = [limit_candidate(a.b, a.c) for a in sigma]
     worst = 0.0
     pair = (0, 0)
     for i in range(len(sigma)):
@@ -489,13 +466,12 @@ def certify_rcp(
             gap = float(np.linalg.norm(ls[i] - ls[j]))
             if gap > worst + 1e-15:
                 worst, pair = gap, (i, j)
-    s, m = sigma[0].s, sigma[0].csize
     if worst <= atol:
         return RcpVerdict(
             is_rcp=True,
             certificate=cert,
             l_values=tuple(ls),
-            limit=_limit_dense(s, m, ls[0]),
+            limit=_limit_dense(ls[0]),
         )
     i, j = pair
     points = cycle_accumulation_points([sigma[i], sigma[j]], dedupe_tol=atol)

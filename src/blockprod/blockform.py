@@ -67,10 +67,6 @@ class BlockUpperTriangular:
         return out
 
 
-def to_dense(a: BlockUpperTriangular) -> np.ndarray:
-    return a.to_dense()
-
-
 def from_dense(m, s: int) -> BlockUpperTriangular:
     """Split a dense matrix back into its (s, B, C) presentation.
 

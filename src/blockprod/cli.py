@@ -8,6 +8,7 @@ Subcommands: product, analyze, certify-rcp, norm.  Exit codes: 0 ok/RCP,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -16,9 +17,9 @@ from .analyzer import (
     AnalyzerConfig,
     Finite,
     Periodic,
+    _certificate_for_members,
     analyze,
     certify_rcp,
-    uniform_certificate,
 )
 from .errors import (
     AnalysisRefusedError,
@@ -57,23 +58,11 @@ def _load_sequence(path, want_set: bool) -> SequenceDocument:
     return doc
 
 
-def _sequence_certificate(doc: SequenceDocument, k_max: int = 64):
-    cert = doc.declared_certificate()
-    if cert is not None:
-        return cert
-    found = uniform_certificate([a.c for a in doc.members], k_max)
-    if found is None:
-        raise AnalysisRefusedError(
-            "no contraction certificate found for the sequence members"
-        )
-    return found
-
-
 def cmd_product(args) -> int:
     doc = _load_sequence(args.input, want_set=False)
     if args.n < 1:
         raise ParseError("--n must be >= 1")
-    cert = _sequence_certificate(doc)
+    cert = _certificate_for_members(doc.members, doc.declared_certificate())
     members = doc.members
     seq = [
         members[k % len(members)] if doc.kind == "periodic" else members[min(k, len(members) - 1)]
@@ -110,9 +99,9 @@ def cmd_product(args) -> int:
 
 def cmd_analyze(args) -> int:
     doc = _load_sequence(args.input, want_set=False)
-    cfg = AnalyzerConfig(
-        eps=args.eps, horizon=args.horizon, window=args.window
-    )
+    if not 0 < args.eps < math.inf:
+        raise ParseError("--eps must be a finite number > 0")
+    cfg = AnalyzerConfig(eps=args.eps)
     seq = Periodic(doc.members) if doc.kind == "periodic" else Finite(doc.members)
     report = analyze(seq, cfg, cert=doc.declared_certificate())
     sys.stdout.write(format_report(report))
@@ -121,6 +110,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_certify_rcp(args) -> int:
     doc = _load_sequence(args.input, want_set=True)
+    if not 0 <= args.atol < math.inf:
+        raise ParseError("--atol must be a finite number >= 0")
     verdict = certify_rcp(list(doc.members), atol=args.atol)
     sys.stdout.write(format_rcp_verdict(verdict))
     return EXIT_OK if verdict.is_rcp else EXIT_NOT_RCP
@@ -173,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="decide convergence of the product")
     p.add_argument("--input", required=True)
     p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--horizon", type=int, default=10000)
-    p.add_argument("--window", type=int, default=20)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("certify-rcp", help="certify the RCP property of a set")

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    CertificateViolationError,
     InvalidCertificateError,
     NoContractingNormError,
     ShapeError,
@@ -153,20 +154,20 @@ def solve_right(b, m) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), b.T, check_finite=False).T
 
 
-def lyapunov_scaling(c) -> MatrixNorm:
-    """Construct a norm under which *c* is a strict contraction.
+def _stein_certificate(cs: list[np.ndarray]) -> ContractionCertificate:
+    """A Lyapunov certificate contracting every matrix in *cs* at once.
 
-    Solves the Stein equation P - C* P C = I by dense vectorization and
-    returns the Lyapunov-scaled norm built from P.  Succeeds exactly when the
-    spectral radius of c is below one; otherwise raises
+    Solves the Stein equation P - sum_i C_i* P C_i = I by dense vectorization
+    and accepts the solution only when, after symmetrisation, its relative
+    residual is at most 1e-10, it is positive definite, and the largest member
+    norm it induces (the rate) is below one.  Otherwise raises
     :class:`NoContractingNormError`.
     """
-    c = as_matrix(c)
-    n = c.shape[0]
-    if c.shape[1] != n:
-        raise ShapeError("matrix must be square")
+    n = cs[0].shape[0]
     # vec(C* P C) = (C^T kron C*) vec(P), column-major vec
-    op = np.eye(n * n, dtype=np.complex128) - np.kron(c.T, c.conj().T)
+    op = np.eye(n * n, dtype=np.complex128)
+    for c in cs:
+        op -= np.kron(c.T, c.conj().T)
     try:
         vec_p = np.linalg.solve(op, np.eye(n, dtype=np.complex128).flatten("F"))
     except np.linalg.LinAlgError:
@@ -175,7 +176,7 @@ def lyapunov_scaling(c) -> MatrixNorm:
         ) from None
     p = vec_p.reshape((n, n), order="F")
     p = 0.5 * (p + p.conj().T)
-    residual = np.linalg.norm(p - c.conj().T @ p @ c - np.eye(n))
+    residual = np.linalg.norm(p - sum(c.conj().T @ p @ c for c in cs) - np.eye(n))
     if residual > 1e-10 * max(1.0, np.linalg.norm(p)):
         raise NoContractingNormError(
             f"Stein residual {residual:.3e} too large; no contracting norm found"
@@ -186,9 +187,24 @@ def lyapunov_scaling(c) -> MatrixNorm:
         raise NoContractingNormError(
             "Stein solution is not positive definite; spectral radius >= 1 suspected"
         ) from None
-    if norm_value(c, norm) >= 1.0:
+    rate = max(norm_value(c, norm) for c in cs)
+    if rate >= 1.0:
         raise NoContractingNormError("constructed norm does not contract the matrix")
-    return norm
+    return ContractionCertificate(norm, rate, "lyapunov")
+
+
+def lyapunov_scaling(c) -> MatrixNorm:
+    """Construct a norm under which *c* is a strict contraction.
+
+    Solves the Stein equation P - C* P C = I by dense vectorization and
+    returns the Lyapunov-scaled norm built from P.  Succeeds exactly when the
+    spectral radius of c is below one; otherwise raises
+    :class:`NoContractingNormError`.
+    """
+    c = as_matrix(c)
+    if c.shape[1] != c.shape[0]:
+        raise ShapeError("matrix must be square")
+    return _stein_certificate([c]).norm
 
 
 @dataclass(frozen=True)
@@ -206,6 +222,23 @@ class ContractionCertificate:
             raise InvalidCertificateError(f"rate {self.rate} not in [0, 1)")
         if self.kind not in ("declared", "gelfand", "lyapunov"):
             raise ValueError(f"unknown certificate kind {self.kind!r}")
+
+    def check(self, c, step: int) -> None:
+        """Check one factor's C-block against this certificate.
+
+        Only declared and Lyapunov certificates bound every factor in one
+        norm; a Gelfand certificate bounds powers of a single matrix, so it is
+        refused with :class:`InvalidCertificateError`.  A C-block whose norm
+        exceeds the rate raises :class:`CertificateViolationError` naming
+        *step*.
+        """
+        if self.kind == "gelfand":
+            raise InvalidCertificateError(
+                "a gelfand certificate bounds powers of one matrix, not each factor"
+            )
+        val = norm_value(c, self.norm)
+        if val > self.rate * (1 + 1e-12) + 1e-15:
+            raise CertificateViolationError(step, val, self.rate)
 
     def describe(self) -> str:
         if self.kind == "gelfand":
@@ -251,7 +284,6 @@ def spectral_certificate(
     if not fallback:
         return None
     try:
-        lyap = lyapunov_scaling(c)
+        return _stein_certificate([c])
     except NoContractingNormError:
         return None
-    return ContractionCertificate(lyap, norm_value(c, lyap), "lyapunov")

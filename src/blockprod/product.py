@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .blockform import BlockUpperTriangular
-from .errors import CertificateViolationError, InvalidCertificateError
+from .errors import InvalidCertificateError
 from .matrixcore import ContractionCertificate, norm_value, solve_right
 
 __all__ = [
@@ -46,7 +46,8 @@ class ProductState:
 
     ``x`` and ``gamma`` are the top-right and bottom-right blocks of P_n,
     ``l`` the current limit candidate, ``d_dev = x - l`` the deviation,
-    ``y_prev`` the latest limit-candidate increment, and ``bound`` a
+    ``y_prev`` the latest limit-candidate increment (so the previous
+    candidate is ``l - y_prev``), and ``bound`` a
     certified upper bound on the deviation in the certificate norm.
     ``identity_residual`` records how well the one-step deviation identity
     was satisfied numerically.
@@ -56,7 +57,6 @@ class ProductState:
     x: np.ndarray
     gamma: np.ndarray
     l: np.ndarray
-    l_prev: np.ndarray | None
     d_dev: np.ndarray
     y_prev: np.ndarray | None
     bound: float
@@ -71,11 +71,15 @@ def initial_state(s: int, csize: int) -> ProductState:
         x=x,
         gamma=np.eye(csize, dtype=np.complex128),
         l=x,
-        l_prev=None,
         d_dev=x,
         y_prev=None,
         bound=0.0,
     )
+
+
+def limit_candidate(b, c) -> np.ndarray:
+    """The limit candidate B (I - C)^{-1}, by a right solve."""
+    return solve_right(b, np.eye(c.shape[0], dtype=np.complex128) - c)
 
 
 def step(
@@ -83,20 +87,17 @@ def step(
 ) -> ProductState:
     """Append one factor to the partial product.
 
-    For a declared certificate the factor's C-block is checked against the
-    declared rate and a violation raises :class:`CertificateViolationError`
-    naming the step.  The deviation identity D' = (D - Y) C is verified to
-    within ``IDENTITY_TOL`` at every step past the first.
+    The factor's C-block is checked against the certificate by
+    :meth:`ContractionCertificate.check`, so a violation raises
+    :class:`CertificateViolationError` naming the step and a Gelfand
+    certificate is refused.  The deviation identity D' = (D - Y) C is
+    verified to within ``IDENTITY_TOL`` at every step past the first.
     """
     n = state.n + 1
-    if cert.kind in ("declared", "lyapunov"):
-        val = norm_value(a.c, cert.norm)
-        if val > cert.rate * (1 + 1e-12) + 1e-15:
-            raise CertificateViolationError(n, val, cert.rate)
+    cert.check(a.c, n)
     x = a.b + state.x @ a.c
     gamma = state.gamma @ a.c
-    eye = np.eye(a.csize, dtype=np.complex128)
-    l = solve_right(a.b, eye - a.c)
+    l = limit_candidate(a.b, a.c)
     d_dev = x - l
     if state.n == 0:
         return ProductState(
@@ -104,7 +105,6 @@ def step(
             x=x,
             gamma=gamma,
             l=l,
-            l_prev=None,
             d_dev=d_dev,
             y_prev=None,
             bound=norm_value(d_dev, cert.norm),
@@ -121,7 +121,6 @@ def step(
         x=x,
         gamma=gamma,
         l=l,
-        l_prev=state.l,
         d_dev=d_dev,
         y_prev=y,
         bound=bound,

@@ -11,7 +11,9 @@ from blockprod import (
     ContractionCertificate,
     Finite,
     INF_NORM,
+    InvalidCertificateError,
     Periodic,
+    ShapeError,
     Stream,
     Verdict,
     analyze,
@@ -19,7 +21,9 @@ from blockprod import (
     corollary1_analyze,
     cycle_accumulation_points,
     dense_partial_product,
+    lyapunov_scaling,
     norm_value,
+    spectral_certificate,
     uniform_certificate,
 )
 from conftest import random_block, random_contracting
@@ -28,6 +32,14 @@ A_HALF = BlockUpperTriangular(1, [[1.0]], [[0.5]])
 A_TWO = BlockUpperTriangular(1, [[2.0]], [[0.5]])
 A_QUARTER = BlockUpperTriangular(1, [[1.5]], [[0.25]])
 NILPOTENT = np.array([[0.0, 2.0], [0.0, 0.0]])
+BAD_TOLERANCES = [float("nan"), -1.0, float("inf")]
+
+
+def mixed_split_stream():
+    """A 1x1 factor followed by an s = 2 factor."""
+    return Stream(
+        iter([A_HALF, BlockUpperTriangular(2, [[1.0], [2.0]], [[0.5]])])
+    )
 
 
 def closest(points, target):
@@ -61,6 +73,13 @@ class TestAnalyzePeriodic:
         cert = ContractionCertificate(INF_NORM, 0.3, "declared")
         with pytest.raises(CertificateViolationError):
             analyze(Periodic((A_HALF,)), cert=cert)
+
+    def test_gelfand_certificate_refused(self):
+        # the Gelfand certificate of the first member says nothing about the
+        # second, whose C-block expands: X_40 is about -6649, not 2
+        a2 = BlockUpperTriangular(1, [[-4.0]], [[3.0]])
+        with pytest.raises(InvalidCertificateError):
+            analyze(Periodic((A_HALF, a2)), cert=spectral_certificate(A_HALF.c))
 
     def test_nilpotent_cycle_uses_lyapunov(self):
         a = BlockUpperTriangular(1, [[1.0, 1.0]], NILPOTENT)
@@ -120,6 +139,17 @@ class TestAnalyzeStream:
         report = analyze(Stream(iter([A_HALF, A_TWO])), cert=self.CERT)
         assert report.verdict is Verdict.INCONCLUSIVE
 
+    def test_mixed_split_raises(self):
+        with pytest.raises(ShapeError):
+            analyze(mixed_split_stream(), cert=self.CERT)
+
+
+class TestAnalyzerConfig:
+    @pytest.mark.parametrize("eps", BAD_TOLERANCES + [0.0])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError):
+            AnalyzerConfig(eps=eps)
+
 
 class TestCorollary1:
     def test_constant_b(self):
@@ -146,6 +176,10 @@ class TestCorollary1:
     def test_refused_for_expanding_limit(self):
         with pytest.raises(AnalysisRefusedError):
             corollary1_analyze(Periodic((A_HALF,)), [[1.5]])
+
+    def test_mixed_split_stream_raises(self):
+        with pytest.raises(ShapeError):
+            corollary1_analyze(mixed_split_stream(), [[0.5]])
 
     def test_agrees_with_analyze_on_shared_hypotheses(self, rng):
         for _ in range(20):
@@ -260,6 +294,11 @@ class TestCertifyRcp:
         with pytest.raises(AnalysisRefusedError):
             certify_rcp([A_HALF, grow])
 
+    @pytest.mark.parametrize("atol", BAD_TOLERANCES)
+    def test_rejects_bad_atol(self, atol):
+        with pytest.raises(ValueError):
+            certify_rcp([A_HALF, A_TWO], atol=atol)
+
 
 class TestUniformCertificate:
     def test_builtin_route(self):
@@ -273,6 +312,18 @@ class TestUniformCertificate:
         assert cert is not None and cert.kind == "lyapunov"
         for c in cs:
             assert norm_value(c, cert.norm) <= cert.rate < 1.0
+
+    def test_agrees_with_lyapunov_scaling(self):
+        # spectral radius 0.5, but a Jordan-like shift of 3.5 makes P badly
+        # scaled (||P|| ~ 4.6e9) and the rate about 1 - 1e-10
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((7, 7)))
+        c = q @ (0.5 * np.eye(7) + 3.5 * np.eye(7, k=1)) @ q.T
+        norm = lyapunov_scaling(c)
+        cert = uniform_certificate([c])
+        assert cert is not None and cert.kind == "lyapunov"
+        assert np.array_equal(cert.norm.scaling, norm.scaling)
+        assert cert.rate == norm_value(c, norm) < 1.0
+        assert certify_rcp([BlockUpperTriangular(1, np.ones((1, 7)), c)]).is_rcp
 
     def test_none_when_hopeless(self):
         assert uniform_certificate([np.array([[2.0]])]) is None

@@ -118,6 +118,23 @@ class TestCertifyRcp:
         assert code == 0 and out.startswith("RCP")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--input", str(FIXTURES / "constant.json"), "--eps", "nan"),
+        ("analyze", "--input", str(FIXTURES / "constant.json"), "--eps", "-1"),
+        ("analyze", "--input", str(FIXTURES / "constant.json"), "--eps", "inf"),
+        ("certify-rcp", "--input", str(FIXTURES / "pair_rcp.json"), "--atol", "nan"),
+        ("certify-rcp", "--input", str(FIXTURES / "pair_rcp.json"), "--atol", "-1"),
+        ("certify-rcp", "--input", str(FIXTURES / "pair_rcp.json"), "--atol", "inf"),
+    ],
+    ids=lambda v: " ".join(v[3:]),
+)
+def test_bad_tolerance_is_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("parse error:")
+
+
 class TestNorm:
     def test_auto_prefers_gelfand(self, capsys):
         code, out, _ = run(

@@ -15,6 +15,7 @@ from blockprod import (
     left_product_init,
     left_product_step,
     norm_value,
+    spectral_certificate,
     step,
     trace_row,
 )
@@ -67,6 +68,19 @@ class TestStep:
         with pytest.raises(CertificateViolationError) as exc:
             run([A_HALF, bad], CERT_HALF)
         assert exc.value.step == 2
+
+    def test_gelfand_certificate_refused(self):
+        # C^2 = 0 gives a Gelfand rate of 0, yet ||D_n||_inf stays 2: the
+        # one-step bound recursion needs ||C|| <= rate, which fails here
+        c = np.array([[0.0, 2.0], [0.0, 0.0]])
+        cert = spectral_certificate(c)
+        assert cert.kind == "gelfand"
+        seq = [
+            BlockUpperTriangular(1, [[1.0, 0.0]] if n % 2 == 0 else [[0.0, 1.0]], c)
+            for n in range(6)
+        ]
+        with pytest.raises(InvalidCertificateError):
+            run(seq, cert)
 
     def test_identity_residual_recorded(self, rng):
         seq = [random_block(rng, 2, 3) for _ in range(30)]
