@@ -11,6 +11,7 @@ escape hatch.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -18,12 +19,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .blockform import BlockUpperTriangular
+from .blockform import BlockUpperTriangular, block_mul
 from .errors import AnalysisRefusedError, NoContractingNormError, ShapeError
 from .matrixcore import (
     BUILTIN_NORMS,
     ContractionCertificate,
     _stein_certificate,
+    as_matrix,
     norm_value,
     spectral_certificate,
 )
@@ -90,10 +92,9 @@ class AnalyzerConfig:
     eps: float = 1e-10
     horizon: int = 10000
     window: int = 20
-    k_max: int = 64
 
     def __post_init__(self):
-        values = (self.eps, self.horizon, self.window, self.k_max)
+        values = (self.eps, self.horizon, self.window)
         if not all(0 < v < math.inf for v in values):
             raise ValueError("all configuration values must be positive and finite")
         if self.window > self.horizon:
@@ -143,10 +144,11 @@ def uniform_certificate(cs: Sequence[np.ndarray]) -> ContractionCertificate | No
     """A single norm contracting every matrix in *cs*, or None.
 
     Tries the built-in norms first (rate = the largest member norm), then a
-    common Lyapunov scaling P - sum_i C_i* P C_i = I, whose solution, when
-    positive definite, contracts every member simultaneously.
+    common Lyapunov scaling P - sum_i C_i* P C_i = I over the distinct
+    members, whose solution, when positive definite, contracts every member
+    simultaneously.
     """
-    cs = list(cs)
+    cs = list({(c.shape, c.tobytes()): c for c in map(as_matrix, cs)}.values())
     if not cs:
         raise ValueError("need at least one matrix")
     for norm in BUILTIN_NORMS:
@@ -165,20 +167,15 @@ def cycle_accumulation_points(
     """Exact limits of the phase subsequences X_{kp+j} of a periodic product.
 
     Over one period the top-right block evolves by the affine map
-    x -> x (C_{j+1} ... C_{j+p}) + S_j; each phase limit is the map's fixed
-    point, obtained by a linear solve.  Distinct points (beyond *dedupe_tol*
-    in Frobenius distance) are returned in first-seen order.
+    x -> x (C_{j+1} ... C_{j+p}) + S_j, the blocks of the period's product
+    A_{j+1} ... A_{j+p}; each phase limit is the map's fixed point, that
+    product's limit candidate.  Distinct points (beyond *dedupe_tol* in
+    Frobenius distance) are returned in first-seen order.
     """
-    p = len(cycle)
     points: list[np.ndarray] = []
-    for j in range(p):
-        s_acc = np.zeros_like(cycle[0].b)
-        gamma = np.eye(cycle[0].csize, dtype=np.complex128)
-        for t in range(p):
-            a = cycle[(j + t) % p]
-            s_acc = a.b + s_acc @ a.c
-            gamma = gamma @ a.c
-        fixed = limit_candidate(s_acc, gamma)
+    for j in range(len(cycle)):
+        period = functools.reduce(block_mul, [*cycle[j:], *cycle[:j]])
+        fixed = limit_candidate(period.b, period.c)
         if all(np.linalg.norm(fixed - q) > dedupe_tol for q in points):
             points.append(fixed)
     return points
@@ -202,10 +199,13 @@ def _certificate_for_members(
 
 
 def _analyze_periodic(
-    seq: Periodic, cfg: AnalyzerConfig, cert: ContractionCertificate | None
+    cycle: Sequence[BlockUpperTriangular],
+    cfg: AnalyzerConfig,
+    cert: ContractionCertificate,
 ) -> AnalysisReport:
-    cert = _certificate_for_members(seq.cycle, cert)
-    ls = [limit_candidate(a.b, a.c) for a in seq.cycle]
+    """The Theorem's verdict on a cycle, given a certificate *cert* that
+    contracts its C-blocks."""
+    ls = [limit_candidate(a.b, a.c) for a in cycle]
     spread = max(float(np.linalg.norm(l - ls[0])) for l in ls)
     if spread <= cfg.eps:
         return AnalysisReport(
@@ -213,7 +213,7 @@ def _analyze_periodic(
             limit=_limit_dense(ls[0]),
             certificate=cert,
         )
-    points = cycle_accumulation_points(seq.cycle, dedupe_tol=100 * cfg.eps)
+    points = cycle_accumulation_points(cycle, dedupe_tol=100 * cfg.eps)
     return AnalysisReport(
         verdict=Verdict.CERTIFIED_DIVERGED,
         certificate=cert,
@@ -225,14 +225,12 @@ def _analyze_periodic(
     )
 
 
-def _analyze_finite(
-    seq: Finite, cfg: AnalyzerConfig, cert: ContractionCertificate | None
-) -> AnalysisReport:
+def _analyze_finite(seq: Finite, cert: ContractionCertificate | None) -> AnalysisReport:
     last = seq.members[-1]
     if cert is not None:
         cert = _certificate_for_members(seq.members, cert)
     else:
-        cert = spectral_certificate(last.c, cfg.k_max)
+        cert = spectral_certificate(last.c)
         if cert is None:
             raise AnalysisRefusedError(
                 "could not certify contraction of the eventual constant factor"
@@ -327,6 +325,7 @@ def _analyze_stream(
             "stream analysis needs a declared (or Lyapunov) contraction "
             "certificate checked at every step"
         )
+    cert.require_per_factor()
     detector = _StreakDetector(
         cfg, cert, "limit candidate", lambda y: norm_value(y, cert.norm), lambda l: l
     )
@@ -363,9 +362,11 @@ def analyze(
     """
     cfg = cfg or AnalyzerConfig()
     if isinstance(seq, Periodic):
-        return _analyze_periodic(seq, cfg, cert)
+        return _analyze_periodic(
+            seq.cycle, cfg, _certificate_for_members(seq.cycle, cert)
+        )
     if isinstance(seq, Finite):
-        return _analyze_finite(seq, cfg, cert)
+        return _analyze_finite(seq, cert)
     if isinstance(seq, Stream):
         return _analyze_stream(seq, cfg, cert)
     raise TypeError(f"unsupported presentation {type(seq).__name__}")
@@ -376,40 +377,38 @@ def corollary1_analyze(
     c_limit,
     cfg: AnalyzerConfig | None = None,
 ) -> AnalysisReport:
-    """Convergence test when the C-blocks tend to a fixed matrix of spectral
-    radius below one: the product converges iff the B-blocks do, and the
-    limit uses B (I - C)^{-1} with the limit C."""
+    """Convergence test when the C-blocks tend to a fixed matrix *c_limit* of
+    spectral radius below one: the product converges iff the B-blocks do, and
+    the limit uses B (I - C)^{-1} with the limit C.
+
+    On Periodic and Finite presentations the hypothesis holds only if every
+    cycle C-block (for Finite, the last member's) equals *c_limit*; otherwise
+    this raises :class:`AnalysisRefusedError` (:class:`ShapeError` if the
+    orders differ).  They then get :func:`analyze`'s verdict, certified by
+    the contraction of *c_limit*.  Streams get the streak tests on their
+    B-blocks.  Raises :class:`AnalysisRefusedError` when the spectral radius
+    of *c_limit* cannot be certified below one.
+    """
     cfg = cfg or AnalyzerConfig()
-    c_limit = np.asarray(c_limit, dtype=np.complex128)
-    cert = spectral_certificate(c_limit, cfg.k_max)
+    c_limit = as_matrix(c_limit)
+    if isinstance(seq, (Periodic, Finite)):
+        tail = seq.cycle if isinstance(seq, Periodic) else seq.members[-1:]
+        if tail[0].c.shape != c_limit.shape:
+            raise ShapeError("the C-blocks do not conform to c_limit")
+        if not all(np.array_equal(a.c, c_limit) for a in tail):
+            raise AnalysisRefusedError(
+                "the C-blocks of a periodic or eventually constant sequence "
+                "tend to c_limit only if they equal it"
+            )
+        if isinstance(seq, Finite):
+            return analyze(seq, cfg)
+    cert = spectral_certificate(c_limit)
     if cert is None:
         raise AnalysisRefusedError(
             "could not certify that the limit C-block has spectral radius < 1"
         )
-    if isinstance(seq, (Periodic, Finite)):
-        members = seq.cycle if isinstance(seq, Periodic) else seq.members
-        bs = [a.b for a in members]
-        if isinstance(seq, Finite) or max(
-            float(np.linalg.norm(b - bs[0])) for b in bs
-        ) <= cfg.eps:
-            return AnalysisReport(
-                verdict=Verdict.CERTIFIED_CONVERGED,
-                limit=_limit_dense(limit_candidate(bs[-1], c_limit)),
-                certificate=cert,
-            )
-        points: list[np.ndarray] = []
-        for b in bs:
-            pt = limit_candidate(b, c_limit)
-            if all(np.linalg.norm(pt - q) > 100 * cfg.eps for q in points):
-                points.append(pt)
-        return AnalysisReport(
-            verdict=Verdict.CERTIFIED_DIVERGED,
-            certificate=cert,
-            witness=Witness(
-                "top-right blocks do not settle; accumulation points listed",
-                tuple(points),
-            ),
-        )
+    if isinstance(seq, Periodic):
+        return _analyze_periodic(seq.cycle, cfg, cert)
 
     # stream: the streak tests on the B-blocks alone
     detector = _StreakDetector(
@@ -452,12 +451,7 @@ def certify_rcp(
         raise ValueError(f"atol must be a finite number >= 0, got {atol!r}")
     sigma = list(sigma)
     _check_conforming(sigma, "set")
-    cert = uniform_certificate([a.c for a in sigma])
-    if cert is None:
-        raise AnalysisRefusedError(
-            "no common contracting norm found; the set is not certifiably "
-            "uniformly contracting"
-        )
+    cert = _certificate_for_members(sigma, None)
     ls = [limit_candidate(a.b, a.c) for a in sigma]
     worst = 0.0
     pair = (0, 0)

@@ -72,7 +72,8 @@ def cmd_product(args) -> int:
     rows = []
     for a in seq:
         state = step(state, a, cert)
-        rows.append(trace_row(state, cert))
+        if args.trace:
+            rows.append(trace_row(state, cert))
     dense = dense_partial_product(seq, args.n)
     diff = max(
         float(np.abs(dense[: doc.s, doc.s :] - state.x).max()),

@@ -223,19 +223,19 @@ class ContractionCertificate:
         if self.kind not in ("declared", "gelfand", "lyapunov"):
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
-    def check(self, c, step: int) -> None:
-        """Check one factor's C-block against this certificate.
-
-        Only declared and Lyapunov certificates bound every factor in one
-        norm; a Gelfand certificate bounds powers of a single matrix, so it is
-        refused with :class:`InvalidCertificateError`.  A C-block whose norm
-        exceeds the rate raises :class:`CertificateViolationError` naming
-        *step*.
-        """
+    def require_per_factor(self) -> None:
+        """Raise :class:`InvalidCertificateError` for a Gelfand certificate:
+        it bounds powers of one matrix, not every factor in one norm."""
         if self.kind == "gelfand":
             raise InvalidCertificateError(
                 "a gelfand certificate bounds powers of one matrix, not each factor"
             )
+
+    def check(self, c, step: int) -> None:
+        """Check one factor's C-block against this per-factor certificate
+        (see :meth:`require_per_factor`); a C-block whose norm exceeds the
+        rate raises :class:`CertificateViolationError` naming *step*."""
+        self.require_per_factor()
         val = norm_value(c, self.norm)
         if val > self.rate * (1 + 1e-12) + 1e-15:
             raise CertificateViolationError(step, val, self.rate)

@@ -135,6 +135,10 @@ class TestAnalyzeStream:
         report = analyze(Stream(factors), cfg, cert=self.CERT)
         assert report.verdict is Verdict.DIVERGED_NUMERICALLY
 
+    def test_gelfand_certificate_refused_on_empty_stream(self):
+        with pytest.raises(InvalidCertificateError):
+            analyze(Stream(iter([])), cert=spectral_certificate([[0.5]]))
+
     def test_exhausted_stream_inconclusive(self):
         report = analyze(Stream(iter([A_HALF, A_TWO])), cert=self.CERT)
         assert report.verdict is Verdict.INCONCLUSIVE
@@ -176,6 +180,38 @@ class TestCorollary1:
     def test_refused_for_expanding_limit(self):
         with pytest.raises(AnalysisRefusedError):
             corollary1_analyze(Periodic((A_HALF,)), [[1.5]])
+        grow = BlockUpperTriangular(1, [[1.0]], [[1.5]])
+        for seq in (Periodic((grow,)), Finite((A_HALF, grow))):
+            with pytest.raises(AnalysisRefusedError):
+                corollary1_analyze(seq, [[1.5]])
+
+    @pytest.mark.parametrize("presentation", [Periodic, Finite])
+    def test_refuses_c_blocks_other_than_the_limit(self, presentation):
+        # with C = 0.5 the product tends to 3 / (1 - 0.5) = 6, not 3 / 0.9
+        a = BlockUpperTriangular(1, [[3.0]], [[0.5]])
+        with pytest.raises(AnalysisRefusedError):
+            corollary1_analyze(presentation((a,)), [[0.1]])
+
+    def test_limit_order_mismatch_raises(self):
+        with pytest.raises(ShapeError):
+            corollary1_analyze(Periodic((A_HALF,)), NILPOTENT)
+
+    def test_witness_is_the_phase_limits(self):
+        report = corollary1_analyze(Periodic((A_HALF, A_TWO)), [[0.5]])
+        assert report.verdict is Verdict.CERTIFIED_DIVERGED
+        assert len(report.witness.points) == 2
+        assert closest(report.witness.points, 8 / 3) < 1e-12
+        assert closest(report.witness.points, 10 / 3) < 1e-12
+
+    def test_gelfand_only_limit_certifies_cycle(self):
+        # spectral radius 0.5, but only ||C^50|| < 1 shows it, and the Stein
+        # solve that analyze() relies on fails
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((7, 7)))
+        c = q @ (0.5 * np.eye(7) + 10.0 * np.eye(7, k=1)) @ q.T
+        a = BlockUpperTriangular(1, np.ones((1, 7)), c)
+        report = corollary1_analyze(Periodic((a,)), c)
+        assert report.verdict is Verdict.CERTIFIED_CONVERGED
+        assert report.certificate.kind == "gelfand"
 
     def test_mixed_split_stream_raises(self):
         with pytest.raises(ShapeError):
@@ -281,6 +317,15 @@ class TestCertifyRcp:
     def test_duplicate_members_reduce_to_singleton(self):
         verdict = certify_rcp([A_HALF, A_HALF])
         assert verdict.is_rcp
+        # spectral radius 0.9, but a scaling of 100 defeats the built-in
+        # norms; a repeated C-block must not count twice in the Stein equation
+        rot = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+        c = np.diag([1.0, 100.0]) @ (0.9 * rot) @ np.diag([1.0, 0.01])
+        a = BlockUpperTriangular(1, [[1.0, 2.0]], c)
+        single = analyze(Periodic((a,)))
+        assert single.certificate.kind == "lyapunov"
+        assert analyze(Periodic((a, a))).certificate == single.certificate
+        assert certify_rcp([a, a]).is_rcp
 
     def test_common_lyapunov_norm_route(self):
         a1 = BlockUpperTriangular(1, [[1.0, 1.0]], NILPOTENT)
