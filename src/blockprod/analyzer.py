@@ -14,6 +14,7 @@ import enum
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -94,6 +95,9 @@ class AnalyzerConfig:
     window: int = 20
 
     def __post_init__(self):
+        counts = (self.horizon, self.window)
+        if not all(isinstance(v, numbers.Integral) for v in counts):
+            raise ValueError("horizon and window must be integers")
         values = (self.eps, self.horizon, self.window)
         if not all(0 < v < math.inf for v in values):
             raise ValueError("all configuration values must be positive and finite")
@@ -162,21 +166,21 @@ def uniform_certificate(cs: Sequence[np.ndarray]) -> ContractionCertificate | No
 
 
 def cycle_accumulation_points(
-    cycle: Sequence[BlockUpperTriangular], dedupe_tol: float = 1e-9
+    cycle: Sequence[BlockUpperTriangular],
 ) -> list[np.ndarray]:
     """Exact limits of the phase subsequences X_{kp+j} of a periodic product.
 
     Over one period the top-right block evolves by the affine map
     x -> x (C_{j+1} ... C_{j+p}) + S_j, the blocks of the period's product
     A_{j+1} ... A_{j+p}; each phase limit is the map's fixed point, that
-    product's limit candidate.  Distinct points (beyond *dedupe_tol* in
-    Frobenius distance) are returned in first-seen order.
+    product's limit candidate.  Every distinct phase limit is returned, in
+    first-seen order; only exact duplicates are dropped.
     """
     points: list[np.ndarray] = []
     for j in range(len(cycle)):
         period = functools.reduce(block_mul, [*cycle[j:], *cycle[:j]])
         fixed = limit_candidate(period.b, period.c)
-        if all(np.linalg.norm(fixed - q) > dedupe_tol for q in points):
+        if not any(np.array_equal(fixed, q) for q in points):
             points.append(fixed)
     return points
 
@@ -198,6 +202,21 @@ def _certificate_for_members(
     return found
 
 
+def _worst_candidate_pair(
+    members: Sequence[BlockUpperTriangular], tol: float
+) -> tuple[list[np.ndarray], tuple[int, int] | None]:
+    """The limit candidates L_i = B_i (I - C_i)^{-1} of *members*, and the
+    pair (i, j), i < j, farthest apart in Frobenius distance when that
+    distance exceeds *tol* (the first pair within 1e-15 of it), else None."""
+    ls = [limit_candidate(a.b, a.c) for a in members]
+    pairs = itertools.combinations(range(len(ls)), 2)
+    gaps = {(i, j): float(np.linalg.norm(ls[i] - ls[j])) for i, j in pairs}
+    worst = max(gaps.values(), default=0.0)
+    if worst <= tol:
+        return ls, None
+    return ls, next(pair for pair, gap in gaps.items() if gap >= worst - 1e-15)
+
+
 def _analyze_periodic(
     cycle: Sequence[BlockUpperTriangular],
     cfg: AnalyzerConfig,
@@ -205,40 +224,21 @@ def _analyze_periodic(
 ) -> AnalysisReport:
     """The Theorem's verdict on a cycle, given a certificate *cert* that
     contracts its C-blocks."""
-    ls = [limit_candidate(a.b, a.c) for a in cycle]
-    spread = max(float(np.linalg.norm(l - ls[0])) for l in ls)
-    if spread <= cfg.eps:
+    ls, pair = _worst_candidate_pair(cycle, cfg.eps)
+    if pair is None:
         return AnalysisReport(
             verdict=Verdict.CERTIFIED_CONVERGED,
             limit=_limit_dense(ls[0]),
             certificate=cert,
         )
-    points = cycle_accumulation_points(cycle, dedupe_tol=100 * cfg.eps)
     return AnalysisReport(
         verdict=Verdict.CERTIFIED_DIVERGED,
         certificate=cert,
         witness=Witness(
             "distinct limit candidates across the cycle; the phase "
             "subsequences of the top-right block accumulate at the listed points",
-            tuple(points),
+            tuple(cycle_accumulation_points(cycle)),
         ),
-    )
-
-
-def _analyze_finite(seq: Finite, cert: ContractionCertificate | None) -> AnalysisReport:
-    last = seq.members[-1]
-    if cert is not None:
-        cert = _certificate_for_members(seq.members, cert)
-    else:
-        cert = spectral_certificate(last.c)
-        if cert is None:
-            raise AnalysisRefusedError(
-                "could not certify contraction of the eventual constant factor"
-            )
-    return AnalysisReport(
-        verdict=Verdict.CERTIFIED_CONVERGED,
-        limit=_limit_dense(limit_candidate(last.b, last.c)),
-        certificate=cert,
     )
 
 
@@ -352,9 +352,13 @@ def analyze(
 ) -> AnalysisReport:
     """Decide convergence of the right product presented by *seq*.
 
-    Periodic and Finite presentations get exact (Certified) verdicts driven
-    by equality of the limit candidates; Streams get numerical verdicts from
-    running the product engine up to the horizon.  Raises
+    Periodic and Finite presentations get exact (Certified) verdicts: a cycle
+    converges iff its limit candidates all lie within ``cfg.eps`` of each
+    other (Frobenius), so the verdict does not depend on the member the cycle
+    starts at, and a divergence witness lists every distinct phase limit.  A
+    Finite presentation is decided as the one-member cycle of its last
+    member.  Streams get numerical verdicts from running the product engine
+    up to the horizon.  Raises
     :class:`AnalysisRefusedError` when no contraction certificate can be
     obtained, :class:`CertificateViolationError` when a given one is
     contradicted by the data, and :class:`InvalidCertificateError` when a
@@ -366,7 +370,14 @@ def analyze(
             seq.cycle, cfg, _certificate_for_members(seq.cycle, cert)
         )
     if isinstance(seq, Finite):
-        return _analyze_finite(seq, cert)
+        tail = seq.members[-1:]
+        if cert is not None:
+            cert = _certificate_for_members(seq.members, cert)
+        elif (cert := spectral_certificate(tail[0].c)) is None:
+            raise AnalysisRefusedError(
+                "could not certify contraction of the eventual constant factor"
+            )
+        return _analyze_periodic(tail, cfg, cert)
     if isinstance(seq, Stream):
         return _analyze_stream(seq, cfg, cert)
     raise TypeError(f"unsupported presentation {type(seq).__name__}")
@@ -391,6 +402,7 @@ def corollary1_analyze(
     """
     cfg = cfg or AnalyzerConfig()
     c_limit = as_matrix(c_limit)
+    tail = None
     if isinstance(seq, (Periodic, Finite)):
         tail = seq.cycle if isinstance(seq, Periodic) else seq.members[-1:]
         if tail[0].c.shape != c_limit.shape:
@@ -400,15 +412,13 @@ def corollary1_analyze(
                 "the C-blocks of a periodic or eventually constant sequence "
                 "tend to c_limit only if they equal it"
             )
-        if isinstance(seq, Finite):
-            return analyze(seq, cfg)
     cert = spectral_certificate(c_limit)
     if cert is None:
         raise AnalysisRefusedError(
             "could not certify that the limit C-block has spectral radius < 1"
         )
-    if isinstance(seq, Periodic):
-        return _analyze_periodic(seq.cycle, cfg, cert)
+    if tail is not None:
+        return _analyze_periodic(tail, cfg, cert)
 
     # stream: the streak tests on the B-blocks alone
     detector = _StreakDetector(
@@ -418,10 +428,17 @@ def corollary1_analyze(
         lambda y: float(np.linalg.norm(y)),
         lambda b: limit_candidate(b, c_limit),
     )
-    for a in _stream_factors(seq.factors, cfg.horizon):
+    for n, a in enumerate(_stream_factors(seq.factors, cfg.horizon), start=1):
         report = detector.update(a.b)
-        if report is not None:
-            return report
+        if report is None:
+            continue
+        if a.c.shape != c_limit.shape:
+            raise ShapeError("the C-blocks do not conform to c_limit")
+        if np.linalg.norm(a.c - c_limit) > cfg.eps:
+            raise AnalysisRefusedError(
+                f"the C-block of stream factor {n} is farther than eps from c_limit"
+            )
+        return report
     return AnalysisReport(verdict=Verdict.INCONCLUSIVE, certificate=cert)
 
 
@@ -443,24 +460,19 @@ def certify_rcp(
     """Certify whether every infinite right product from *sigma* converges.
 
     The set has the property exactly when all members share the same limit
-    candidate B (I - C)^{-1}.  On failure, the worst pair is reported with
-    the accumulation points of its alternating product as a divergence
-    witness.  Requires one common contracting norm over the whole set.
+    candidate B (I - C)^{-1}, to within *atol* in every pair (the rule
+    :func:`analyze` applies to a cycle).  On failure, the first worst pair
+    is reported with every distinct phase limit of its alternating product
+    as a divergence witness.  Requires one common contracting norm over the
+    whole set.
     """
     if not 0 <= atol < math.inf:
         raise ValueError(f"atol must be a finite number >= 0, got {atol!r}")
     sigma = list(sigma)
     _check_conforming(sigma, "set")
     cert = _certificate_for_members(sigma, None)
-    ls = [limit_candidate(a.b, a.c) for a in sigma]
-    worst = 0.0
-    pair = (0, 0)
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            gap = float(np.linalg.norm(ls[i] - ls[j]))
-            if gap > worst + 1e-15:
-                worst, pair = gap, (i, j)
-    if worst <= atol:
+    ls, pair = _worst_candidate_pair(sigma, atol)
+    if pair is None:
         return RcpVerdict(
             is_rcp=True,
             certificate=cert,
@@ -468,7 +480,6 @@ def certify_rcp(
             limit=_limit_dense(ls[0]),
         )
     i, j = pair
-    points = cycle_accumulation_points([sigma[i], sigma[j]], dedupe_tol=atol)
     return RcpVerdict(
         is_rcp=False,
         certificate=cert,
@@ -477,6 +488,6 @@ def certify_rcp(
         witness=Witness(
             f"members {i} and {j} have different limit candidates; the "
             "alternating product accumulates at the listed points",
-            tuple(points),
+            tuple(cycle_accumulation_points([sigma[i], sigma[j]])),
         ),
     )

@@ -60,7 +60,8 @@ class MatrixNorm:
     sum), ``"fro"`` (Frobenius), or ``"lyapunov"``.  A Lyapunov-scaled norm
     carries the Hermitian positive definite scaling matrix P and measures a
     square matrix M as the operator norm of x -> Mx between the vector norms
-    |x|_P = sqrt(x* P x).
+    |x|_P = sqrt(x* P x).  P is checked (:class:`ShapeError` unless square,
+    Hermitian to 1e-12 and positive definite) and stored symmetrised.
     """
 
     kind: str
@@ -71,6 +72,18 @@ class MatrixNorm:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if (self.kind == "lyapunov") != (self.scaling is not None):
             raise ValueError("lyapunov norms carry a scaling matrix; others do not")
+        if self.scaling is None:
+            return
+        p = as_matrix(self.scaling)
+        if p.shape[0] != p.shape[1]:
+            raise ShapeError("scaling matrix must be square")
+        if not np.allclose(p, p.conj().T, atol=1e-12):
+            raise ShapeError("scaling matrix must be Hermitian (atol 1e-12)")
+        try:
+            np.linalg.cholesky(p)
+        except np.linalg.LinAlgError:
+            raise ShapeError("scaling matrix must be positive definite") from None
+        object.__setattr__(self, "scaling", 0.5 * (p + p.conj().T))
 
     def describe(self) -> str:
         return self.kind
@@ -86,16 +99,7 @@ BUILTIN_NORMS = (INF_NORM, ONE_NORM, FROBENIUS)
 
 def lyapunov_norm(p) -> MatrixNorm:
     """Build a Lyapunov-scaled norm from a Hermitian positive definite P."""
-    p = as_matrix(p)
-    if p.shape[0] != p.shape[1]:
-        raise ShapeError("scaling matrix must be square")
-    if not np.allclose(p, p.conj().T, atol=1e-12):
-        raise ShapeError("scaling matrix must be Hermitian (atol 1e-12)")
-    try:
-        np.linalg.cholesky(p)
-    except np.linalg.LinAlgError:
-        raise ShapeError("scaling matrix must be positive definite") from None
-    return MatrixNorm("lyapunov", 0.5 * (p + p.conj().T))
+    return MatrixNorm("lyapunov", p)
 
 
 def _lyapunov_value(m: np.ndarray, p: np.ndarray) -> float:

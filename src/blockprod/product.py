@@ -100,22 +100,15 @@ def step(
     l = limit_candidate(a.b, a.c)
     d_dev = x - l
     if state.n == 0:
-        return ProductState(
-            n=n,
-            x=x,
-            gamma=gamma,
-            l=l,
-            d_dev=d_dev,
-            y_prev=None,
-            bound=norm_value(d_dev, cert.norm),
-        )
-    y = l - state.l
-    bound = (state.bound + norm_value(y, cert.norm)) * cert.rate
-    residual = norm_value(d_dev - (state.d_dev - y) @ a.c, cert.norm)
-    if residual > IDENTITY_TOL * max(1.0, norm_value(d_dev, cert.norm)):
-        raise ArithmeticError(
-            f"deviation identity violated at step {n}: residual {residual:.3e}"
-        )
+        y, bound, residual = None, norm_value(d_dev, cert.norm), 0.0
+    else:
+        y = l - state.l
+        bound = (state.bound + norm_value(y, cert.norm)) * cert.rate
+        residual = norm_value(d_dev - (state.d_dev - y) @ a.c, cert.norm)
+        if residual > IDENTITY_TOL * max(1.0, norm_value(d_dev, cert.norm)):
+            raise ArithmeticError(
+                f"deviation identity violated at step {n}: residual {residual:.3e}"
+            )
     return ProductState(
         n=n,
         x=x,

@@ -257,13 +257,4 @@ def write_trace_csv(path, rows: list[TraceRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
         for r in rows:
-            fh.write(
-                ",".join(
-                    [str(r.n)]
-                    + [
-                        fmt_float(v)
-                        for v in (r.norm_X, r.norm_Y, r.norm_D, r.bound, r.norm_gamma)
-                    ]
-                )
-                + "\n"
-            )
+            fh.write(",".join([str(r.n), *map(fmt_float, r[1:])]) + "\n")

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockprod import (
     AnalysisRefusedError,
@@ -26,7 +27,7 @@ from blockprod import (
     spectral_certificate,
     uniform_certificate,
 )
-from conftest import random_block, random_contracting
+from conftest import random_block, random_complex, random_contracting
 
 A_HALF = BlockUpperTriangular(1, [[1.0]], [[0.5]])
 A_TWO = BlockUpperTriangular(1, [[2.0]], [[0.5]])
@@ -44,6 +45,30 @@ def mixed_split_stream():
 
 def closest(points, target):
     return min(float(np.abs(p - target).max()) for p in points)
+
+
+def with_candidate(l, c):
+    """The member [[I, L (I - C)], [0, C]], whose limit candidate is L."""
+    l, c = np.atleast_2d(l), np.atleast_2d(c)
+    return BlockUpperTriangular(l.shape[0], l @ (np.eye(c.shape[0]) - c), c)
+
+
+@st.composite
+def near_tie_cycles(draw, eps=1e-10):
+    """Cycles of 1-4 members, s, m <= 3, with C-blocks contracting in the
+    inf norm.  The limit candidates are a common L plus multiples of eps
+    along one direction, so their pairwise gaps fall on both sides of eps
+    (and of the gap to the first member)."""
+    s, m, p = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_complex(rng, s, m)
+    direction = random_complex(rng, s, m)
+    direction /= np.linalg.norm(direction)
+    offsets = st.sampled_from([0.0, 0.45, 0.9, -0.9, 1.5, 1e6])
+    return tuple(
+        with_candidate(base + k * eps * direction, random_contracting(rng, m))
+        for k in draw(st.lists(offsets, min_size=p, max_size=p))
+    )
 
 
 class TestAnalyzePeriodic:
@@ -81,6 +106,30 @@ class TestAnalyzePeriodic:
         with pytest.raises(InvalidCertificateError):
             analyze(Periodic((A_HALF, a2)), cert=spectral_certificate(A_HALF.c))
 
+    def test_verdict_independent_of_starting_member(self):
+        # candidates 2 and 2 +- 0.9e-10: each lies within eps = 1e-10 of 2,
+        # but the outer two are 1.8e-10 apart
+        a, b, c = (with_candidate(2.0 + d, 0.5) for d in (0.0, 0.9e-10, -0.9e-10))
+        for cycle in ((a, b, c), (b, c, a), (c, a, b)):
+            report = analyze(Periodic(cycle))
+            assert report.verdict is Verdict.CERTIFIED_DIVERGED
+            assert len(report.witness.points) == 3
+        assert not certify_rcp([a, b, c], atol=1e-10).is_rcp
+
+    def test_witness_lists_phase_limits_closer_than_eps(self):
+        # L = 10 and 10 + 5e-10 are 5 eps apart, but the phase limits
+        # 10 + 5e-11 / 0.19 and 10 + 4.5e-11 / 0.19 differ by only 2.6e-11
+        p = BlockUpperTriangular(1, [[1.0]], [[0.9]])
+        q = BlockUpperTriangular(1, [[1.0 + 5e-11]], [[0.9]])
+        report = analyze(Periodic((p, q)))
+        verdict = certify_rcp([p, q], atol=1e-10)
+        assert report.verdict is Verdict.CERTIFIED_DIVERGED
+        assert not verdict.is_rcp
+        for witness in (report.witness, verdict.witness):
+            assert len(witness.points) == 2
+            assert closest(witness.points, 10 + 5e-11 / 0.19) < 1e-13
+            assert closest(witness.points, 10 + 4.5e-11 / 0.19) < 1e-13
+
     def test_nilpotent_cycle_uses_lyapunov(self):
         a = BlockUpperTriangular(1, [[1.0, 1.0]], NILPOTENT)
         report = analyze(Periodic((a,)))
@@ -99,6 +148,33 @@ class TestAnalyzeFinite:
         grow = BlockUpperTriangular(1, [[1.0]], [[1.2]])
         with pytest.raises(AnalysisRefusedError):
             analyze(Finite((A_HALF, grow)))
+
+
+class TestOneCandidateComparison:
+    EPS = 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(cycle=near_tie_cycles(eps=EPS))
+    def test_cycles_and_sets_share_one_rule(self, cycle):
+        cfg = AnalyzerConfig(eps=self.EPS)
+        reports = [
+            analyze(Periodic(cycle[k:] + cycle[:k]), cfg) for k in range(len(cycle))
+        ]
+        assert len({r.verdict for r in reports}) == 1
+        rcp = certify_rcp(cycle, atol=self.EPS)
+        assert (reports[0].verdict is Verdict.CERTIFIED_CONVERGED) == rcp.is_rcp
+        for witness in [r.witness for r in reports] + [rcp.witness]:
+            assert witness is None or len(witness.points) >= 2
+
+    def test_finite_is_its_one_member_tail(self):
+        declared = ContractionCertificate(INF_NORM, 0.5, "declared")
+        for cert in (None, declared):
+            finite = analyze(Finite((A_TWO, A_HALF)), cert=cert)
+            tail = analyze(Periodic((A_HALF,)), cert=cert)
+            assert finite.verdict is tail.verdict is Verdict.CERTIFIED_CONVERGED
+            assert np.array_equal(finite.limit, tail.limit)
+        # a declared certificate is checked on every member and kept
+        assert finite.certificate is tail.certificate is declared
 
 
 class TestAnalyzeStream:
@@ -153,6 +229,19 @@ class TestAnalyzerConfig:
     def test_rejects_bad_eps(self, eps):
         with pytest.raises(ValueError):
             AnalyzerConfig(eps=eps)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("horizon", 20.5), ("horizon", 100.0), ("window", 2.5), ("window", "5")],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError):
+            AnalyzerConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = AnalyzerConfig(horizon=np.int64(50), window=np.int32(5))
+        report = analyze(Stream(iter([A_HALF] * 3)), cfg, cert=TestAnalyzeStream.CERT)
+        assert report.verdict is Verdict.INCONCLUSIVE
 
 
 class TestCorollary1:
@@ -217,6 +306,29 @@ class TestCorollary1:
         with pytest.raises(ShapeError):
             corollary1_analyze(mixed_split_stream(), [[0.5]])
 
+    def test_stream_refuses_c_blocks_other_than_the_limit(self):
+        # the B-blocks settle at once, but with C = 0.5 the product tends to
+        # 3 / (1 - 0.5) = 6, not the 3 / 0.9 that c_limit would give
+        a = BlockUpperTriangular(1, [[3.0]], [[0.5]])
+        with pytest.raises(AnalysisRefusedError, match="stream factor 21"):
+            corollary1_analyze(Stream(itertools.repeat(a, 100)), [[0.1]])
+
+    def test_stream_limit_order_mismatch_raises(self):
+        # the unbounded test fires without building a candidate from c_limit
+        factors = (BlockUpperTriangular(1, [[2.0**n]], [[0.5]]) for n in range(200))
+        cfg = AnalyzerConfig(eps=1e-3, horizon=200)
+        with pytest.raises(ShapeError):
+            corollary1_analyze(Stream(factors), NILPOTENT, cfg)
+
+    def test_finite_uses_the_limit_certificate(self):
+        report = corollary1_analyze(Finite((A_TWO, A_HALF)), [[0.5]])
+        assert report.verdict is Verdict.CERTIFIED_CONVERGED
+        assert report.certificate == spectral_certificate([[0.5]])
+        assert np.array_equal(report.limit, analyze(Finite((A_TWO, A_HALF))).limit)
+        grow = BlockUpperTriangular(1, [[1.0]], [[1.5]])
+        with pytest.raises(AnalysisRefusedError, match="spectral radius"):
+            corollary1_analyze(Finite((A_HALF, grow)), [[1.5]])
+
     def test_agrees_with_analyze_on_shared_hypotheses(self, rng):
         for _ in range(20):
             s = int(rng.integers(1, 3))
@@ -278,6 +390,12 @@ class TestCycleAccumulationPoints:
         assert len(points) == 2
         assert closest(points, 8 / 3) < 1e-12
         assert closest(points, 10 / 3) < 1e-12
+
+    def test_drops_only_exact_duplicates(self):
+        p = BlockUpperTriangular(1, [[1.0]], [[0.9]])
+        q = BlockUpperTriangular(1, [[1.0 + 5e-11]], [[0.9]])
+        assert len(cycle_accumulation_points([p, q])) == 2
+        assert len(cycle_accumulation_points([p, p, p])) == 1
 
     def test_convergent_cycle_single_point(self):
         points = cycle_accumulation_points([A_HALF, A_QUARTER])

@@ -5,6 +5,7 @@ from blockprod import (
     BUILTIN_NORMS,
     FROBENIUS,
     INF_NORM,
+    MatrixNorm,
     NoContractingNormError,
     ONE_NORM,
     ShapeError,
@@ -129,6 +130,21 @@ class TestNormValue:
             lyapunov_norm([[0.0, 1.0], [0.0, 0.0]])  # not Hermitian
         with pytest.raises(ShapeError):
             lyapunov_norm([[-1.0]])  # not positive definite
+
+    @pytest.mark.parametrize(
+        "p",
+        [[[1.0, 1.0], [0.0, 1.0]], [[-1.0]], [[1.0, 0.0]]],
+        ids=["not_hermitian", "not_positive_definite", "not_square"],
+    )
+    def test_direct_construction_validates_scaling(self, p):
+        with pytest.raises(ShapeError):
+            MatrixNorm("lyapunov", p)
+
+    def test_direct_construction_symmetrises(self):
+        p = np.array([[2.0, 1.0 + 1e-13], [1.0, 2.0]])
+        kind = MatrixNorm("lyapunov", p)
+        assert np.array_equal(kind.scaling, kind.scaling.conj().T)
+        assert np.array_equal(kind.scaling, lyapunov_norm(p).scaling)
 
     @pytest.mark.parametrize("kind", BUILTIN_NORMS, ids=lambda k: k.kind)
     def test_submultiplicative_builtin(self, rng, kind):
