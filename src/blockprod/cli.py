@@ -2,7 +2,8 @@
 
 Subcommands: product, analyze, certify-rcp, norm.  Exit codes: 0 ok/RCP,
 1 NOT_RCP, 2 parse error, 3 analysis refused or certificate violated,
-4 undecided.
+4 undecided.  Every library error (:class:`BlockprodError`) maps to one of
+them.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from .analyzer import (
     certify_rcp,
 )
 from .errors import (
-    AnalysisRefusedError,
+    BlockprodError,
     CertificateViolationError,
-    InvalidCertificateError,
     NoContractingNormError,
     ParseError,
 )
-from .matrixcore import lyapunov_scaling, norm_value, spectral_certificate
+from .matrixcore import BUILTIN_NORMS, lyapunov_scaling, norm_value, spectral_certificate
 from .product import dense_partial_product, initial_state, step, trace_row
 from .seqfile import (
     SequenceDocument,
@@ -121,31 +121,22 @@ def cmd_certify_rcp(args) -> int:
 def cmd_norm(args) -> int:
     m = parse_matrix_file(args.input)
     if args.kind == "lyapunov":
-        try:
-            norm = lyapunov_scaling(m)
-        except NoContractingNormError as exc:
-            print(f"undecided: {exc}", file=sys.stderr)
-            return EXIT_UNDECIDED
+        norm = lyapunov_scaling(m)
+    else:
+        auto = args.kind == "auto"
+        norms = BUILTIN_NORMS if auto else (norm_by_name(args.kind),)
+        cert = spectral_certificate(m, norms=norms, fallback=auto)
+        if cert is None:
+            raise NoContractingNormError(
+                "no contraction certificate found "
+                "(spectral radius >= 1 suspected, not proven)"
+            )
+        print(f"certificate: {cert.describe()}")
+        norm = cert.norm
+    if norm.kind == "lyapunov":
         print("lyapunov scaling P:")
         print(fmt_matrix(norm.scaling))
-        print(f"norm value: {fmt_float(norm_value(m, norm))}")
-        return EXIT_OK
-    if args.kind == "auto":
-        cert = spectral_certificate(m)
-    else:
-        cert = spectral_certificate(m, norms=(norm_by_name(args.kind),), fallback=False)
-    if cert is None:
-        print(
-            "undecided: no contraction certificate found "
-            "(spectral radius >= 1 suspected, not proven)",
-            file=sys.stderr,
-        )
-        return EXIT_UNDECIDED
-    print(f"certificate: {cert.describe()}")
-    if cert.kind == "lyapunov":
-        print("lyapunov scaling P:")
-        print(fmt_matrix(cert.norm.scaling))
-    print(f"norm value: {fmt_float(norm_value(m, cert.norm))}")
+    print(f"norm value: {fmt_float(norm_value(m, norm))}")
     return EXIT_OK
 
 
@@ -184,18 +175,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place where errors become exit codes."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, message = EXIT_PARSE, f"parse error: {exc}"
     except CertificateViolationError as exc:
-        print(f"certificate violated: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except (AnalysisRefusedError, InvalidCertificateError) as exc:
-        print(f"analysis refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+        code, message = EXIT_REFUSED, f"certificate violated: {exc}"
+    except NoContractingNormError as exc:
+        code, message = EXIT_UNDECIDED, f"undecided: {exc}"
+    except BlockprodError as exc:
+        code, message = EXIT_REFUSED, f"analysis refused: {exc}"
+    print(message, file=sys.stderr)
+    return code
 
 
 def entry() -> None:

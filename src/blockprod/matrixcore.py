@@ -61,7 +61,8 @@ class MatrixNorm:
     carries the Hermitian positive definite scaling matrix P and measures a
     square matrix M as the operator norm of x -> Mx between the vector norms
     |x|_P = sqrt(x* P x).  P is checked (:class:`ShapeError` unless square,
-    Hermitian to 1e-12 and positive definite) and stored symmetrised.
+    Hermitian to 1e-12 and positive definite) and stored symmetrised.  Two
+    norms are equal when their kinds and scalings are.
     """
 
     kind: str
@@ -84,6 +85,12 @@ class MatrixNorm:
         except np.linalg.LinAlgError:
             raise ShapeError("scaling matrix must be positive definite") from None
         object.__setattr__(self, "scaling", 0.5 * (p + p.conj().T))
+
+    def __eq__(self, other):
+        # the generated hash covers only ``kind``, which equal norms share
+        if not isinstance(other, MatrixNorm):
+            return NotImplemented
+        return self.kind == other.kind and np.array_equal(self.scaling, other.scaling)
 
     def describe(self) -> str:
         return self.kind

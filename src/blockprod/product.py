@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .blockform import BlockUpperTriangular
-from .errors import InvalidCertificateError
+from .errors import InvalidCertificateError, ShapeError
 from .matrixcore import ContractionCertificate, norm_value, solve_right
 
 __all__ = [
@@ -90,10 +90,15 @@ def step(
     The factor's C-block is checked against the certificate by
     :meth:`ContractionCertificate.check`, so a violation raises
     :class:`CertificateViolationError` naming the step and a Gelfand
-    certificate is refused.  The deviation identity D' = (D - Y) C is
-    verified to within ``IDENTITY_TOL`` at every step past the first.
+    certificate is refused.  A factor whose B-block does not have the shape
+    of X raises :class:`ShapeError`.  The deviation identity D' = (D - Y) C
+    is verified to within ``IDENTITY_TOL`` at every step past the first.
     """
     n = state.n + 1
+    if a.b.shape != state.x.shape:
+        raise ShapeError(
+            f"factor {n} has (s, m) = {a.b.shape}; the product has {state.x.shape}"
+        )
     cert.check(a.c, n)
     x = a.b + state.x @ a.c
     gamma = state.gamma @ a.c

@@ -12,7 +12,8 @@ A sequence file is a JSON document:
     }
 
 Complex scalars are encoded as two-element arrays [re, im]; bare numbers are
-read as reals.  All floats are printed with 17 significant digits.
+read as reals.  Every number must be finite in double precision, and
+booleans are not numbers.  All floats are printed with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -78,44 +79,59 @@ class SequenceDocument:
         return ContractionCertificate(norm_by_name(self.norm), self.rate, "declared")
 
 
-def _scalar(v) -> complex:
-    if isinstance(v, bool):
-        raise ParseError(f"invalid scalar {v!r}")
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
-    ):
+#: a JSON number is an exact ``int`` or ``float``, so booleans are refused
+_REAL = (int, float)
+
+
+def _scalar(v):
+    if type(v) in _REAL:
+        return v
+    if type(v) is list and len(v) == 2 and type(v[0]) in _REAL and type(v[1]) in _REAL:
         return complex(v[0], v[1])
     raise ParseError(f"invalid scalar {v!r} (expected a number or [re, im])")
 
 
 def _array(data, rows: int, cols: int, what: str) -> np.ndarray:
+    """A rows x cols complex block of finite numbers read from nested lists."""
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"{what} must be a list of {rows} rows")
-    out = np.zeros((rows, cols), dtype=np.complex128)
+    out = np.empty((rows, cols), dtype=np.complex128)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{what} row {i} must hold {cols} scalars")
-        for j, v in enumerate(row):
-            out[i, j] = _scalar(v)
+        try:
+            out[i] = [_scalar(v) for v in row]
+        except OverflowError:
+            raise ParseError(f"{what} holds a number too large for a float") from None
+    if not np.isfinite(out).all():
+        raise ParseError(f"{what} holds a non-finite number")
     return out
 
 
-def parse_sequence_text(text: str) -> SequenceDocument:
+def _read_text(path) -> str:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def _decode(text: str):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+
+
+def parse_sequence_text(text: str) -> SequenceDocument:
+    doc = _decode(text)
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     kind = doc.get("kind")
     if kind not in ("periodic", "finite", "set"):
         raise ParseError(f"kind must be periodic, finite, or set, got {kind!r}")
     s, d = doc.get("s"), doc.get("d")
-    if not isinstance(s, int) or not isinstance(d, int) or not 1 <= s < d:
+    if type(s) is not int or type(d) is not int or not 1 <= s < d:
         raise ParseError("need integers 1 <= s < d")
     entries = doc.get("matrices")
     if not isinstance(entries, list) or not entries:
@@ -133,19 +149,14 @@ def parse_sequence_text(text: str) -> SequenceDocument:
         raise ParseError(f"norm must be one, inf, fro, or auto, got {norm!r}")
     rate = doc.get("rate")
     if rate is not None:
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+        if type(rate) not in _REAL:
             raise ParseError("rate must be a number")
-        rate = float(rate)
+        rate = _array([[rate]], 1, 1, "rate").real.item()
     return SequenceDocument(kind, s, d, tuple(members), norm, rate)
 
 
 def parse_sequence_file(path) -> SequenceDocument:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_sequence_text(text)
+    return parse_sequence_text(_read_text(path))
 
 
 def _scalar_out(z: complex):
@@ -177,13 +188,7 @@ def serialize_sequence_document(doc: SequenceDocument) -> str:
 def parse_matrix_file(path) -> np.ndarray:
     """Read a single square matrix: either a bare 2-D array or an object
     with a "matrix" field."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    doc = _decode(_read_text(path))
     data = doc.get("matrix") if isinstance(doc, dict) else doc
     if not isinstance(data, list) or not data or not isinstance(data[0], list):
         raise ParseError("expected a 2-D array (or an object with a matrix field)")
@@ -206,10 +211,10 @@ def fmt_complex(z) -> str:
     return f"({fmt_float(z.real)}{sign}{fmt_float(abs(z.imag))}j)"
 
 
-def fmt_matrix(m, indent: str = "  ") -> str:
+def fmt_matrix(m) -> str:
     m = np.atleast_2d(np.asarray(m))
     return "\n".join(
-        indent + "[" + ", ".join(fmt_complex(v) for v in row) + "]" for row in m
+        "  [" + ", ".join(fmt_complex(v) for v in row) + "]" for row in m
     )
 
 

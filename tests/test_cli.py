@@ -1,7 +1,19 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import blockprod
+from blockprod import (
+    CertificateViolationError,
+    NoContractingNormError,
+    ParseError,
+    ShapeError,
+    SingularMatrixError,
+)
+from blockprod import cli
 from blockprod.cli import main
 from blockprod.seqfile import TRACE_HEADER
 
@@ -135,6 +147,67 @@ def test_bad_tolerance_is_parse_error(capsys, argv):
     assert code == 2 and out == "" and err.startswith("parse error:")
 
 
+# an over-range B entry, a boolean s, a NaN rate and an infinite matrix entry
+BAD_NUMBER_FILES = [
+    ("certify-rcp", '{"kind": "set", "s": 1, "d": 2,'
+     ' "matrices": [{"B": [[1e400]], "C": [[0.5]]}]}'),
+    ("analyze", '{"kind": "periodic", "s": true, "d": 2,'
+     ' "matrices": [{"B": [[1]], "C": [[0.5]]}]}'),
+    ("analyze", '{"kind": "periodic", "s": 1, "d": 2,'
+     ' "matrices": [{"B": [[1]], "C": [[0.5]]}], "norm": "inf", "rate": NaN}'),
+    ("norm", '{"matrix": [[Infinity]]}'),
+]
+
+
+@pytest.mark.parametrize(
+    "command,text", BAD_NUMBER_FILES, ids=["B_1e400", "s_true", "rate_nan", "norm_inf"]
+)
+def test_bad_numbers_are_parse_errors(capsys, tmp_path, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2 and out == "" and err.startswith("parse error:")
+
+
+@pytest.mark.parametrize(
+    "exc,expected_code,prefix",
+    [
+        (ParseError("x"), 2, "parse error: x"),
+        (CertificateViolationError(2, 0.7, 0.5), 3, "certificate violated: step 2"),
+        (NoContractingNormError("x"), 4, "undecided: x"),
+        (ShapeError("x"), 3, "analysis refused: x"),
+        (SingularMatrixError(0.0), 3, "analysis refused: matrix singular"),
+    ],
+    ids=["ParseError", "CertificateViolationError", "NoContractingNormError",
+         "ShapeError", "SingularMatrixError"],
+)
+def test_every_library_error_maps_to_an_exit_code(
+    capsys, monkeypatch, exc, expected_code, prefix
+):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_norm", fail)
+    code, out, err = run(capsys, "norm", "--input", "unused.json")
+    assert code == expected_code and out == "" and err.startswith(prefix)
+
+
+def test_process_exit_status(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"matrix": [[NaN]]}')
+    src = str(Path(blockprod.__file__).parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockprod.cli", "norm", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("parse error:")
+
+
 class TestNorm:
     def test_auto_prefers_gelfand(self, capsys):
         code, out, _ = run(
@@ -154,6 +227,24 @@ class TestNorm:
         path.write_text("[[1.5]]")
         code, out, err = run(capsys, "norm", "--input", str(path))
         assert code == 4 and out == "" and "undecided" in err
+
+    def test_auto_falls_back_to_lyapunov(self, capsys, tmp_path):
+        # no built-in norm of a power up to 64 falls below 1
+        path = tmp_path / "m.json"
+        path.write_text('{"matrix": [[0.9, 30], [0, 0.9]]}')
+        code, out, _ = run(capsys, "norm", "--input", str(path))
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 5
+        assert lines[0].startswith("certificate: lyapunov norm=lyapunov rate=")
+        assert lines[1] == "lyapunov scaling P:"
+        assert lines[4].startswith("norm value: ")
+        assert lines[0].endswith("rate=" + lines[4].removeprefix("norm value: "))
+
+    def test_lyapunov_kind_expanding_undecided(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text("[[1.5]]")
+        code, out, err = run(capsys, "norm", "--input", str(path), "--kind", "lyapunov")
+        assert code == 4 and out == "" and err.startswith("undecided:")
 
     def test_restricted_kind(self, capsys, tmp_path):
         path = tmp_path / "m.json"

@@ -3,6 +3,7 @@ import pytest
 
 from blockprod import (
     BUILTIN_NORMS,
+    ContractionCertificate,
     FROBENIUS,
     INF_NORM,
     MatrixNorm,
@@ -145,6 +146,14 @@ class TestNormValue:
         kind = MatrixNorm("lyapunov", p)
         assert np.array_equal(kind.scaling, kind.scaling.conj().T)
         assert np.array_equal(kind.scaling, lyapunov_norm(p).scaling)
+
+    def test_equality_compares_scaling(self):
+        # the two norms measure [[0, 1], [0, 0]] as 1 and 0.1
+        a, b = lyapunov_norm(np.eye(2)), lyapunov_norm(np.diag([1.0, 100.0]))
+        assert a != b
+        assert a == lyapunov_norm(np.eye(2)) and hash(a) == hash(b)
+        assert ContractionCertificate(a, 0.5) != ContractionCertificate(b, 0.5)
+        assert INF_NORM == MatrixNorm("inf") and INF_NORM != ONE_NORM != a
 
     @pytest.mark.parametrize("kind", BUILTIN_NORMS, ids=lambda k: k.kind)
     def test_submultiplicative_builtin(self, rng, kind):

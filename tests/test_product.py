@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockprod import (
     BlockUpperTriangular,
@@ -8,6 +9,7 @@ from blockprod import (
     FROBENIUS,
     INF_NORM,
     InvalidCertificateError,
+    ShapeError,
     dense_partial_product,
     error_bound_series,
     explicit_sum,
@@ -18,8 +20,9 @@ from blockprod import (
     spectral_certificate,
     step,
     trace_row,
+    uniform_certificate,
 )
-from conftest import random_block
+from conftest import random_block, random_complex
 
 A_HALF = BlockUpperTriangular(1, [[1.0]], [[0.5]])
 A_TWO = BlockUpperTriangular(1, [[2.0]], [[0.5]])
@@ -82,6 +85,12 @@ class TestStep:
         with pytest.raises(InvalidCertificateError):
             run(seq, cert)
 
+    def test_rejects_factor_of_other_shape(self):
+        tall = BlockUpperTriangular(2, [[1.0], [2.0]], [[0.5]])
+        for state in [initial_state(1, 1), *run([A_HALF], CERT_HALF)]:
+            with pytest.raises(ShapeError):
+                step(state, tall, CERT_HALF)
+
     def test_identity_residual_recorded(self, rng):
         seq = [random_block(rng, 2, 3) for _ in range(30)]
         for state in run(seq, CERT_09):
@@ -112,6 +121,36 @@ class TestStep:
             a = random_block(rng, 1, 4)
             resolvent = np.linalg.inv(np.eye(4) - a.c)
             assert norm_value(resolvent, INF_NORM) <= 1 / (1 - 0.9) + 1e-10
+
+
+@st.composite
+def lyapunov_only_sequences(draw):
+    """Factors with s != m whose upper-triangular C-blocks have eigenvalues
+    of modulus <= 0.4 but a corner entry of 3, so no built-in norm contracts
+    them, while a common Lyapunov scaling does; and an order to step them in."""
+    s, m = draw(st.sampled_from([(1, 2), (3, 2), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = np.triu(random_complex(rng, m, m), 1)
+        radii, angles = 0.4 * rng.uniform(0, 1, m), 2 * np.pi * rng.uniform(0, 1, m)
+        c[np.diag_indices(m)] = radii * np.exp(1j * angles)
+        c[0, m - 1] = 3.0
+        members.append(BlockUpperTriangular(s, random_complex(rng, s, m), c))
+    order = draw(st.lists(st.integers(0, len(members) - 1), min_size=1, max_size=30))
+    return members, [members[i] for i in order]
+
+
+class TestLyapunovStepping:
+    @settings(max_examples=40, deadline=None)
+    @given(case=lyapunov_only_sequences())
+    def test_bound_dominates_deviation(self, case):
+        members, seq = case
+        cert = uniform_certificate([a.c for a in members])
+        assert cert.kind == "lyapunov"
+        for state in run(seq, cert):
+            assert state.bound >= norm_value(state.d_dev, cert.norm) - 1e-10
+            assert state.identity_residual <= 1e-10
 
 
 class TestExplicitSum:

@@ -47,6 +47,17 @@ class TestParse:
             lambda t: t.replace('"norm": "inf"', '"norm": "spectral"'),
             lambda t: t[:-30],  # truncated JSON
             lambda t: t.replace('"matrices"', '"entries"'),
+            lambda t: t.replace("[[0.5, 0]", "[[NaN, 0]"),
+            lambda t: t.replace("[0, -2]", "[0, -Infinity]"),
+            lambda t: t.replace("0.25", "1e400"),
+            lambda t: t.replace("[[1, [0", "[[1" + "0" * 400 + ", [0"),
+            lambda t: t.replace("[0.25, 0.1]", "[1" + "0" * 400 + ", 0.1]"),
+            lambda t: t.replace('"s": 1', '"s": true'),
+            lambda t: t.replace('"rate": 0.9', '"rate": NaN'),
+            lambda t: t.replace('"rate": 0.9', '"rate": 1e400'),
+            lambda t: t.replace('"rate": 0.9', '"rate": 1' + "0" * 400),
+            lambda t: t.replace("[[1, [0", "[[true, [0"),
+            lambda t: "[" * 100000,  # nested past the decoder's recursion limit
         ],
     )
     def test_malformed_rejected(self, mutation):
@@ -73,6 +84,19 @@ class TestMatrixFile:
         path = tmp_path / "m.json"
         path.write_text('{"matrix": [[1.5]]}')
         assert parse_matrix_file(path)[0, 0] == 1.5
+
+    @pytest.mark.parametrize("text", ["[[NaN]]", '{"matrix": [[1, [0, 1e400]]]}'])
+    def test_rejects_non_finite(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_matrix_file(path)
+
+    def test_rejects_undecodable_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff[[1]]")
+        with pytest.raises(ParseError, match="cannot read"):
+            parse_matrix_file(path)
 
     def test_rejects_nonsquare(self, tmp_path):
         path = tmp_path / "m.json"
