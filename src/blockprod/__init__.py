@@ -18,7 +18,7 @@ from .analyzer import (
     cycle_accumulation_points,
     uniform_certificate,
 )
-from .blockform import BlockUpperTriangular, block_mul, from_dense, pad_to_balanced
+from .blockform import BlockUpperTriangular, block_mul
 from .errors import (
     AnalysisRefusedError,
     BlockprodError,
@@ -33,6 +33,7 @@ from .matrixcore import (
     BUILTIN_NORMS,
     ContractionCertificate,
     FROBENIUS,
+    GelfandCertificate,
     INF_NORM,
     MatrixNorm,
     ONE_NORM,
@@ -47,7 +48,6 @@ from .product import (
     ProductState,
     TraceRow,
     dense_partial_product,
-    error_bound_series,
     explicit_sum,
     initial_state,
     left_product_init,

@@ -25,9 +25,11 @@ from .errors import AnalysisRefusedError, NoContractingNormError, ShapeError
 from .matrixcore import (
     BUILTIN_NORMS,
     ContractionCertificate,
+    GelfandCertificate,
     _stein_certificate,
     as_matrix,
     norm_value,
+    require_per_factor,
     spectral_certificate,
 )
 from .product import TraceRow, initial_state, limit_candidate, step, trace_row
@@ -128,7 +130,7 @@ class Witness:
 class AnalysisReport:
     verdict: Verdict
     limit: np.ndarray | None = None
-    certificate: ContractionCertificate | None = None
+    certificate: ContractionCertificate | GelfandCertificate | None = None
     witness: Witness | None = None
     trace: tuple[TraceRow, ...] = ()
     deviation_bound: float | None = None
@@ -220,7 +222,7 @@ def _worst_candidate_pair(
 def _analyze_periodic(
     cycle: Sequence[BlockUpperTriangular],
     cfg: AnalyzerConfig,
-    cert: ContractionCertificate,
+    cert: ContractionCertificate | GelfandCertificate,
 ) -> AnalysisReport:
     """The Theorem's verdict on a cycle, given a certificate *cert* that
     contracts its C-blocks."""
@@ -273,7 +275,7 @@ class _StreakDetector:
     """
 
     cfg: AnalyzerConfig
-    cert: ContractionCertificate
+    cert: ContractionCertificate | GelfandCertificate
     what: str
     step_norm: Callable[[np.ndarray], float]
     candidate: Callable[[np.ndarray], np.ndarray]
@@ -325,7 +327,6 @@ def _analyze_stream(
             "stream analysis needs a declared (or Lyapunov) contraction "
             "certificate checked at every step"
         )
-    cert.require_per_factor()
     detector = _StreakDetector(
         cfg, cert, "limit candidate", lambda y: norm_value(y, cert.norm), lambda l: l
     )
@@ -362,9 +363,12 @@ def analyze(
     :class:`AnalysisRefusedError` when no contraction certificate can be
     obtained, :class:`CertificateViolationError` when a given one is
     contradicted by the data, and :class:`InvalidCertificateError` when a
-    given one is a Gelfand certificate, which bounds no single factor.
+    given one is not a :class:`ContractionCertificate` (a Gelfand
+    certificate bounds no single factor).
     """
     cfg = cfg or AnalyzerConfig()
+    if cert is not None:
+        require_per_factor(cert)
     if isinstance(seq, Periodic):
         return _analyze_periodic(
             seq.cycle, cfg, _certificate_for_members(seq.cycle, cert)

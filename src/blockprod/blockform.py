@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ShapeError
 from .matrixcore import as_matrix
 
-__all__ = ["BlockUpperTriangular", "from_dense", "block_mul", "pad_to_balanced"]
+__all__ = ["BlockUpperTriangular", "block_mul"]
 
 
 @dataclass(frozen=True)
@@ -67,25 +67,6 @@ class BlockUpperTriangular:
         return out
 
 
-def from_dense(m, s: int) -> BlockUpperTriangular:
-    """Split a dense matrix back into its (s, B, C) presentation.
-
-    Requires an exact identity top-left block and exact zero bottom-left
-    block; this is the inverse of :meth:`BlockUpperTriangular.to_dense`.
-    """
-    m = as_matrix(m)
-    d = m.shape[0]
-    if m.shape[1] != d:
-        raise ShapeError("dense form must be square")
-    if not 1 <= s < d:
-        raise ShapeError(f"identity order must satisfy 1 <= s < {d}")
-    if not np.array_equal(m[:s, :s], np.eye(s)):
-        raise ShapeError("top-left block is not the identity")
-    if np.any(m[s:, :s] != 0):
-        raise ShapeError("bottom-left block is not zero")
-    return BlockUpperTriangular(s, m[:s, s:], m[s:, s:])
-
-
 def block_mul(a1: BlockUpperTriangular, a2: BlockUpperTriangular) -> BlockUpperTriangular:
     """Product of two presentations, staying in block form.
 
@@ -95,20 +76,3 @@ def block_mul(a1: BlockUpperTriangular, a2: BlockUpperTriangular) -> BlockUpperT
     if a1.s != a2.s or a1.csize != a2.csize:
         raise ShapeError("factors must share the same (s, d) split")
     return BlockUpperTriangular(a1.s, a2.b + a1.b @ a2.c, a1.c @ a2.c)
-
-
-def pad_to_balanced(a: BlockUpperTriangular) -> BlockUpperTriangular:
-    """Zero-pad the blocks so the identity order equals the C-block order.
-
-    With m = d - s: if s >= m, B gains s - m zero columns and C is embedded
-    in the top-left of an s x s zero matrix; if s < m, B gains m - s zero
-    rows and C is unchanged.  One/inf norms of C never increase.
-    """
-    s, m = a.s, a.csize
-    if s >= m:
-        b = np.hstack([a.b, np.zeros((s, s - m), dtype=np.complex128)])
-        c = np.zeros((s, s), dtype=np.complex128)
-        c[:m, :m] = a.c
-        return BlockUpperTriangular(s, b, c)
-    b = np.vstack([a.b, np.zeros((m - s, m), dtype=np.complex128)])
-    return BlockUpperTriangular(m, b, a.c)

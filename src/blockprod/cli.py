@@ -53,6 +53,10 @@ def _load_sequence(path, want_set: bool) -> SequenceDocument:
     doc = parse_sequence_file(path)
     if want_set and doc.kind != "set":
         raise ParseError("this command needs a file of kind 'set'")
+    if want_set and doc.certificate is not None:
+        raise ParseError(
+            "a set file declares no certificate; certify-rcp searches for one"
+        )
     if not want_set and doc.kind == "set":
         raise ParseError("kind 'set' is only valid for certify-rcp")
     return doc
@@ -62,7 +66,7 @@ def cmd_product(args) -> int:
     doc = _load_sequence(args.input, want_set=False)
     if args.n < 1:
         raise ParseError("--n must be >= 1")
-    cert = _certificate_for_members(doc.members, doc.declared_certificate())
+    cert = _certificate_for_members(doc.members, doc.certificate)
     members = doc.members
     seq = [
         members[k % len(members)] if doc.kind == "periodic" else members[min(k, len(members) - 1)]
@@ -104,7 +108,7 @@ def cmd_analyze(args) -> int:
         raise ParseError("--eps must be a finite number > 0")
     cfg = AnalyzerConfig(eps=args.eps)
     seq = Periodic(doc.members) if doc.kind == "periodic" else Finite(doc.members)
-    report = analyze(seq, cfg, cert=doc.declared_certificate())
+    report = analyze(seq, cfg, cert=doc.certificate)
     sys.stdout.write(format_report(report))
     return EXIT_OK
 

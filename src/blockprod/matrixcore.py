@@ -8,8 +8,10 @@ operations are pure.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -33,6 +35,7 @@ __all__ = [
     "solve_right",
     "lyapunov_scaling",
     "ContractionCertificate",
+    "GelfandCertificate",
     "spectral_certificate",
     "BUILTIN_NORMS",
 ]
@@ -218,43 +221,67 @@ def lyapunov_scaling(c) -> MatrixNorm:
     return _stein_certificate([c]).norm
 
 
+def _check_rate(rate: float) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise InvalidCertificateError(f"rate {rate} not in [0, 1)")
+
+
 @dataclass(frozen=True)
 class ContractionCertificate:
-    """Witness that ``norm_value(C, norm) <= rate < 1`` (or, for a Gelfand
-    certificate with power k, that ``||C^k|| <= rate^k``)."""
+    """Witness that ``norm_value(C, norm) <= rate < 1`` for every factor's
+    C-block: ``"declared"`` (given, or found among the built-in norms) or
+    ``"lyapunov"`` (a Stein-equation scaling)."""
 
     norm: MatrixNorm
     rate: float
-    kind: str = "declared"  # "declared" | "gelfand" | "lyapunov"
-    power: int | None = None
+    kind: str = "declared"
 
     def __post_init__(self):
-        if not 0.0 <= self.rate < 1.0:
-            raise InvalidCertificateError(f"rate {self.rate} not in [0, 1)")
-        if self.kind not in ("declared", "gelfand", "lyapunov"):
+        _check_rate(self.rate)
+        if self.kind not in ("declared", "lyapunov"):
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
-    def require_per_factor(self) -> None:
-        """Raise :class:`InvalidCertificateError` for a Gelfand certificate:
-        it bounds powers of one matrix, not every factor in one norm."""
-        if self.kind == "gelfand":
-            raise InvalidCertificateError(
-                "a gelfand certificate bounds powers of one matrix, not each factor"
-            )
-
     def check(self, c, step: int) -> None:
-        """Check one factor's C-block against this per-factor certificate
-        (see :meth:`require_per_factor`); a C-block whose norm exceeds the
-        rate raises :class:`CertificateViolationError` naming *step*."""
-        self.require_per_factor()
+        """Check one factor's C-block against this certificate; a C-block
+        whose norm exceeds the rate raises :class:`CertificateViolationError`
+        naming *step*."""
         val = norm_value(c, self.norm)
         if val > self.rate * (1 + 1e-12) + 1e-15:
             raise CertificateViolationError(step, val, self.rate)
 
     def describe(self) -> str:
-        if self.kind == "gelfand":
-            return f"gelfand k={self.power} norm={self.norm.describe()} rate={self.rate:.17g}"
         return f"{self.kind} norm={self.norm.describe()} rate={self.rate:.17g}"
+
+
+@dataclass(frozen=True)
+class GelfandCertificate:
+    """Witness that ``||C^power|| <= rate^power`` for one matrix C, so its
+    spectral radius is at most rate < 1.  It bounds no factor in one norm,
+    so :func:`require_per_factor` refuses it."""
+
+    norm: MatrixNorm
+    rate: float
+    power: int
+    kind: ClassVar[str] = "gelfand"
+
+    def __post_init__(self):
+        _check_rate(self.rate)
+        if not isinstance(self.power, numbers.Integral) or self.power < 1:
+            raise ValueError(f"power must be an integer >= 1, got {self.power!r}")
+
+    def describe(self) -> str:
+        return f"gelfand k={self.power} norm={self.norm.describe()} rate={self.rate:.17g}"
+
+
+def require_per_factor(cert) -> ContractionCertificate:
+    """Return *cert* if it bounds every factor's C-block in one norm; raise
+    :class:`InvalidCertificateError` for anything else, such as a Gelfand
+    certificate, which bounds powers of one matrix."""
+    if not isinstance(cert, ContractionCertificate):
+        raise InvalidCertificateError(
+            "a gelfand certificate bounds powers of one matrix, not each factor"
+        )
+    return cert
 
 
 def spectral_certificate(
@@ -262,13 +289,14 @@ def spectral_certificate(
     k_max: int = 64,
     norms: tuple[MatrixNorm, ...] = BUILTIN_NORMS,
     fallback: bool = True,
-) -> ContractionCertificate | None:
+) -> GelfandCertificate | ContractionCertificate | None:
     """Certify that the spectral radius of *c* is below one.
 
     Searches powers k = 1, 2, 4, 6, ... up to *k_max* for a built-in norm
-    with ||C^k|| < 1 (then rate = ||C^k||^(1/k)); falls back to a Lyapunov
-    scaling.  Returns None when undecided; None is *not* a proof that the
-    spectral radius is >= 1.
+    with ||C^k|| < 1, giving a :class:`GelfandCertificate` with rate
+    ||C^k||^(1/k); falls back to a Lyapunov :class:`ContractionCertificate`.
+    Returns None when undecided; None is *not* a proof that the spectral
+    radius is >= 1.
     """
     c = as_matrix(c)
     if c.shape[0] != c.shape[1]:
@@ -284,9 +312,7 @@ def spectral_certificate(
         for norm in norms:
             val = norm_value(power, norm)
             if val < 1.0:
-                return ContractionCertificate(
-                    norm, float(val ** (1.0 / k)), "gelfand", power=k
-                )
+                return GelfandCertificate(norm, float(val ** (1.0 / k)), k)
         if k == 1:
             c2 = c @ c
             power, k = c2, 2

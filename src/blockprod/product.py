@@ -20,8 +20,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .blockform import BlockUpperTriangular
-from .errors import InvalidCertificateError, ShapeError
-from .matrixcore import ContractionCertificate, norm_value, solve_right
+from .errors import ShapeError
+from .matrixcore import (
+    ContractionCertificate,
+    norm_value,
+    require_per_factor,
+    solve_right,
+)
 
 __all__ = [
     "ProductState",
@@ -29,7 +34,6 @@ __all__ = [
     "step",
     "explicit_sum",
     "dense_partial_product",
-    "error_bound_series",
     "left_product_init",
     "left_product_step",
     "TraceRow",
@@ -87,19 +91,20 @@ def step(
 ) -> ProductState:
     """Append one factor to the partial product.
 
-    The factor's C-block is checked against the certificate by
-    :meth:`ContractionCertificate.check`, so a violation raises
-    :class:`CertificateViolationError` naming the step and a Gelfand
-    certificate is refused.  A factor whose B-block does not have the shape
-    of X raises :class:`ShapeError`.  The deviation identity D' = (D - Y) C
-    is verified to within ``IDENTITY_TOL`` at every step past the first.
+    A certificate that is not a :class:`ContractionCertificate` raises
+    :class:`InvalidCertificateError`.  The factor's C-block is checked
+    against it by :meth:`ContractionCertificate.check`, so a violation
+    raises :class:`CertificateViolationError` naming the step.  A factor
+    whose B-block does not have the shape of X raises :class:`ShapeError`.
+    The deviation identity D' = (D - Y) C is verified to within
+    ``IDENTITY_TOL`` at every step past the first.
     """
     n = state.n + 1
     if a.b.shape != state.x.shape:
         raise ShapeError(
             f"factor {n} has (s, m) = {a.b.shape}; the product has {state.x.shape}"
         )
-    cert.check(a.c, n)
+    require_per_factor(cert).check(a.c, n)
     x = a.b + state.x @ a.c
     gamma = state.gamma @ a.c
     l = limit_candidate(a.b, a.c)
@@ -150,26 +155,6 @@ def dense_partial_product(seq: Sequence[BlockUpperTriangular], n: int) -> np.nda
     for a in seq[1:n]:
         out = out @ a.to_dense()
     return out
-
-
-def error_bound_series(
-    y_norms: Sequence[float], d1_norm: float, rate: float, n: int
-) -> float:
-    """Conservative deviation bound r^{n-1} ||D_1|| + sum_i ||Y_{n-i}|| r^i.
-
-    ``y_norms`` holds ||Y_1|| ... ||Y_{n-1}||.  Equals the one-step bound
-    recursion b' = (b + ||Y||) r unrolled from b_1 = ||D_1||.
-    """
-    if rate >= 1.0 or rate < 0.0:
-        raise InvalidCertificateError(f"rate {rate} not in [0, 1)")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if len(y_norms) < n - 1:
-        raise ValueError(f"need {n - 1} increment norms, got {len(y_norms)}")
-    bound = float(d1_norm)
-    for k in range(1, n):
-        bound = (bound + float(y_norms[k - 1])) * rate
-    return bound
 
 
 def left_product_init(s: int, csize: int) -> tuple[np.ndarray, np.ndarray]:

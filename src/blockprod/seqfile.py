@@ -1,5 +1,4 @@
-"""Sequence-file parsing and serialization, report formatting, and CSV
-trace output.
+"""Sequence-file parsing, report formatting, and CSV trace output.
 
 A sequence file is a JSON document:
 
@@ -10,6 +9,10 @@ A sequence file is a JSON document:
       "norm": "one" | "inf" | "fro" | "auto",   (optional)
       "rate": 0.9                               (optional, declares r)
     }
+
+A built-in ``norm`` and a ``rate`` declare a certificate together: give both
+or neither.  ``"auto"`` asks for a search and takes no ``rate``.  The CLI
+refuses a declared certificate on a ``set`` file.
 
 Complex scalars are encoded as two-element arrays [re, im]; bare numbers are
 read as reals.  Every number must be finite in double precision, and
@@ -39,7 +42,6 @@ __all__ = [
     "SequenceDocument",
     "parse_sequence_file",
     "parse_sequence_text",
-    "serialize_sequence_document",
     "parse_matrix_file",
     "norm_by_name",
     "fmt_float",
@@ -69,14 +71,7 @@ class SequenceDocument:
     s: int
     d: int
     members: tuple[BlockUpperTriangular, ...]
-    norm: str | None = None
-    rate: float | None = None
-
-    def declared_certificate(self) -> ContractionCertificate | None:
-        """The Declared certificate carried by the file, if any."""
-        if self.norm in (None, "auto") or self.rate is None:
-            return None
-        return ContractionCertificate(norm_by_name(self.norm), self.rate, "declared")
+    certificate: ContractionCertificate | None = None
 
 
 #: a JSON number is an exact ``int`` or ``float``, so booleans are refused
@@ -152,37 +147,14 @@ def parse_sequence_text(text: str) -> SequenceDocument:
         if type(rate) not in _REAL:
             raise ParseError("rate must be a number")
         rate = _array([[rate]], 1, 1, "rate").real.item()
-    return SequenceDocument(kind, s, d, tuple(members), norm, rate)
+    if (norm in (None, "auto")) != (rate is None):
+        raise ParseError('a built-in norm and a rate go together; "auto" takes no rate')
+    cert = None if rate is None else ContractionCertificate(norm_by_name(norm), rate)
+    return SequenceDocument(kind, s, d, tuple(members), cert)
 
 
 def parse_sequence_file(path) -> SequenceDocument:
     return parse_sequence_text(_read_text(path))
-
-
-def _scalar_out(z: complex):
-    if z.imag == 0.0:
-        return float(z.real)
-    return [float(z.real), float(z.imag)]
-
-
-def _array_out(m: np.ndarray):
-    return [[_scalar_out(complex(v)) for v in row] for row in m]
-
-
-def serialize_sequence_document(doc: SequenceDocument) -> str:
-    out = {
-        "kind": doc.kind,
-        "s": doc.s,
-        "d": doc.d,
-        "matrices": [
-            {"B": _array_out(a.b), "C": _array_out(a.c)} for a in doc.members
-        ],
-    }
-    if doc.norm is not None:
-        out["norm"] = doc.norm
-    if doc.rate is not None:
-        out["rate"] = doc.rate
-    return json.dumps(out, indent=2) + "\n"
 
 
 def parse_matrix_file(path) -> np.ndarray:

@@ -2,18 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockprod import (
-    BlockUpperTriangular,
-    INF_NORM,
-    ONE_NORM,
-    ShapeError,
-    block_mul,
-    from_dense,
-    norm_value,
-    pad_to_balanced,
-    solve_right,
-)
-from conftest import random_block, random_complex
+from blockprod import BlockUpperTriangular, ShapeError, block_mul
+from conftest import random_block
 
 
 def scalar_form(b, c):
@@ -28,20 +18,6 @@ class TestToDense:
     def test_direct_placement(self):
         a = scalar_form(1.0, 0.5)
         assert np.array_equal(a.to_dense(), [[1.0, 1.0], [0.0, 0.5]])
-
-    def test_round_trip_exact(self, rng):
-        for _ in range(20):
-            s = int(rng.integers(1, 5))
-            m = int(rng.integers(1, 5))
-            a = random_block(rng, s, m)
-            back = from_dense(a.to_dense(), s)
-            assert back == a
-
-    def test_from_dense_rejects_wrong_structure(self):
-        with pytest.raises(ShapeError):
-            from_dense([[2.0, 0.0], [0.0, 0.5]], 1)
-        with pytest.raises(ShapeError):
-            from_dense([[1.0, 0.0], [0.1, 0.5]], 1)
 
 
 class TestInvariants:
@@ -93,52 +69,3 @@ class TestBlockMul:
         dense = a1.to_dense() @ a2.to_dense()
         scale = max(1.0, np.abs(dense).max())
         assert np.abs(block_mul(a1, a2).to_dense() - dense).max() < 1e-13 * scale
-
-
-class TestPadToBalanced:
-    def test_balanced_unchanged(self, rng):
-        a = random_block(rng, 2, 2)
-        out = pad_to_balanced(a)
-        assert out == a
-
-    def test_wide_identity_branch(self, rng):
-        # s = 2, d = 3: B gains a zero column, C is embedded in 2x2 zeros
-        a = random_block(rng, 2, 1)
-        out = pad_to_balanced(a)
-        assert out.s == 2 and out.csize == 2
-        assert np.array_equal(out.b[:, :1], a.b)
-        assert np.all(out.b[:, 1:] == 0)
-        assert out.c[0, 0] == a.c[0, 0]
-        assert np.all(out.c[1:, :] == 0) and np.all(out.c[:, 1:] == 0)
-
-    def test_tall_c_branch(self, rng):
-        # s = 1, d = 3: B gains a zero row, C unchanged
-        a = random_block(rng, 1, 2)
-        out = pad_to_balanced(a)
-        assert out.s == 2 and out.csize == 2
-        assert np.array_equal(out.b[:1, :], a.b)
-        assert np.all(out.b[1:, :] == 0)
-        assert np.array_equal(out.c, a.c)
-
-    def test_idempotent_on_balanced(self, rng):
-        out = pad_to_balanced(random_block(rng, 3, 1))
-        assert pad_to_balanced(out) == out
-
-    @pytest.mark.parametrize("kind", [ONE_NORM, INF_NORM], ids=lambda k: k.kind)
-    def test_padding_preserves_c_norm(self, rng, kind):
-        for s, m in [(3, 1), (1, 3), (2, 2)]:
-            a = random_block(rng, s, m)
-            assert norm_value(pad_to_balanced(a).c, kind) == pytest.approx(
-                norm_value(a.c, kind)
-            )
-
-    def test_padding_preserves_limit_candidate(self, rng):
-        for s, m in [(3, 1), (1, 3), (2, 2)]:
-            a = random_block(rng, s, m)
-            out = pad_to_balanced(a)
-            l = solve_right(a.b, np.eye(m) - a.c)
-            l_pad = solve_right(out.b, np.eye(out.csize) - out.c)
-            assert np.abs(l_pad[:s, :m] - l).max() < 1e-12
-            # entries forced by the zero padding vanish exactly
-            assert np.all(l_pad[s:, :] == 0)
-            assert np.all(l_pad[:, m:] == 0)

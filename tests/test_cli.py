@@ -93,6 +93,14 @@ class TestProduct:
         )
         assert code == 3 and out == "" and "certificate violated" in err
 
+    def test_lone_rate_is_parse_error(self, capsys, tmp_path):
+        # a rate without a norm once printed the searched certificate as declared
+        text = (FIXTURES / "constant.json").read_text().replace('"norm": "inf",', "")
+        path = tmp_path / "lone_rate.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "product", "--input", str(path), "--n", "3")
+        assert code == 2 and out == "" and err.startswith("parse error:")
+
 
 class TestAnalyze:
     def test_not_rcp_pair_file_diverges(self, capsys, tmp_path):
@@ -120,6 +128,16 @@ class TestCertifyRcp:
             capsys, "certify-rcp", "--input", str(FIXTURES / "constant.json")
         )
         assert code == 2 and out == ""
+
+    def test_declared_certificate_refused(self, capsys, tmp_path):
+        # certify-rcp searches for its own certificate; a declared one was ignored
+        text = (FIXTURES / "pair_rcp.json").read_text().replace(
+            '"d": 2,', '"d": 2, "norm": "one", "rate": 0.1,'
+        )
+        path = tmp_path / "declared_set.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "certify-rcp", "--input", str(path))
+        assert code == 2 and out == "" and err.startswith("parse error:")
 
     def test_atol_flag_loosens_criterion(self, capsys):
         code, out, _ = run(

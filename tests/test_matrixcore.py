@@ -5,6 +5,7 @@ from blockprod import (
     BUILTIN_NORMS,
     ContractionCertificate,
     FROBENIUS,
+    GelfandCertificate,
     INF_NORM,
     MatrixNorm,
     NoContractingNormError,
@@ -208,6 +209,24 @@ class TestLyapunovScaling:
             lyapunov_scaling([[1.5]])
         with pytest.raises(NoContractingNormError):
             lyapunov_scaling([[0.0, 1.0], [-1.0, 0.0]])  # spectral radius 1
+
+
+class TestCertificateTypes:
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            (lambda: ContractionCertificate(INF_NORM, 0.5, "gelfand"), ValueError),
+            (
+                lambda: ContractionCertificate(INF_NORM, 0.5, "declared", power=7),
+                TypeError,
+            ),
+            (lambda: GelfandCertificate(INF_NORM, 0.5, 0), ValueError),
+        ],
+        ids=["contraction_kind_gelfand", "contraction_power", "gelfand_power_0"],
+    )
+    def test_refuses_misuse(self, build, error):
+        with pytest.raises(error):
+            build()
 
 
 class TestSpectralCertificate:

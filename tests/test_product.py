@@ -11,7 +11,6 @@ from blockprod import (
     InvalidCertificateError,
     ShapeError,
     dense_partial_product,
-    error_bound_series,
     explicit_sum,
     initial_state,
     left_product_init,
@@ -28,6 +27,14 @@ A_HALF = BlockUpperTriangular(1, [[1.0]], [[0.5]])
 A_TWO = BlockUpperTriangular(1, [[2.0]], [[0.5]])
 CERT_HALF = ContractionCertificate(INF_NORM, 0.5, "declared")
 CERT_09 = ContractionCertificate(INF_NORM, 0.9, "declared")
+
+
+def error_bound_series(y_norms, d1_norm, rate, n):
+    """The deviation bound r^{n-1} ||D_1|| + sum_i ||Y_{n-i}|| r^i, from
+    ``y_norms`` = ||Y_1|| ... ||Y_{n-1}||, as an explicit sum."""
+    return rate ** (n - 1) * d1_norm + sum(
+        y_norms[n - 1 - i] * rate**i for i in range(1, n)
+    )
 
 
 def run(seq, cert):
@@ -201,28 +208,6 @@ class TestOracleEquivalence:
             dense = dense_partial_product(seq, length)
             assert np.linalg.norm(dense[:s, s:] - state.x) < 1e-11
             assert np.linalg.norm(dense[s:, s:] - state.gamma) < 1e-11
-
-
-class TestErrorBoundSeries:
-    def test_zero_increments(self):
-        # matches the constant example: |D_3| = 0.25 exactly
-        assert error_bound_series([0.0, 0.0], 1.0, 0.5, 3) == pytest.approx(0.25)
-
-    def test_empty_sum(self):
-        assert error_bound_series([], 1.5, 0.5, 1) == 1.5
-
-    def test_single_term(self):
-        assert error_bound_series([1.0], 0.0, 0.5, 2) == pytest.approx(0.5)
-
-    def test_monotone(self):
-        base = error_bound_series([0.3, 0.1], 0.5, 0.6, 3)
-        assert error_bound_series([0.4, 0.1], 0.5, 0.6, 3) >= base
-        assert error_bound_series([0.3, 0.1], 0.6, 0.6, 3) >= base
-        assert error_bound_series([0.3, 0.1], 0.5, 0.7, 3) >= base
-
-    def test_invalid_rate(self):
-        with pytest.raises(InvalidCertificateError):
-            error_bound_series([], 1.0, 1.0, 1)
 
 
 class TestLeftProduct:

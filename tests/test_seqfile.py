@@ -9,7 +9,6 @@ from blockprod.seqfile import (
     fmt_float,
     parse_matrix_file,
     parse_sequence_text,
-    serialize_sequence_document,
     write_trace_csv,
 )
 
@@ -29,12 +28,12 @@ class TestParse:
         a = doc.members[0]
         assert a.b[0, 1] == -2j
         assert a.c[1, 1] == 0.25 + 0.1j
-        cert = doc.declared_certificate()
-        assert cert.norm.kind == "inf" and cert.rate == 0.9
+        cert = doc.certificate
+        assert cert.norm.kind == "inf" and cert.rate == 0.9 and cert.kind == "declared"
 
     def test_no_declared_certificate_for_auto(self):
-        doc = parse_sequence_text(VALID.replace('"inf"', '"auto"'))
-        assert doc.declared_certificate() is None
+        doc = parse_sequence_text(VALID.replace('"inf", "rate": 0.9', '"auto"'))
+        assert doc.certificate is None
 
     @pytest.mark.parametrize(
         "mutation",
@@ -58,20 +57,14 @@ class TestParse:
             lambda t: t.replace('"rate": 0.9', '"rate": 1' + "0" * 400),
             lambda t: t.replace("[[1, [0", "[[true, [0"),
             lambda t: "[" * 100000,  # nested past the decoder's recursion limit
+            lambda t: t.replace('"norm": "inf", ', ""),  # a lone rate
+            lambda t: t.replace(', "rate": 0.9', ""),  # a lone built-in norm
+            lambda t: t.replace('"inf"', '"auto"'),  # "auto" with a rate
         ],
     )
     def test_malformed_rejected(self, mutation):
         with pytest.raises(ParseError):
             parse_sequence_text(mutation(VALID))
-
-    def test_round_trip_is_semantically_identical(self):
-        doc = parse_sequence_text(VALID)
-        again = parse_sequence_text(serialize_sequence_document(doc))
-        assert again.kind == doc.kind and again.s == doc.s and again.d == doc.d
-        assert again.norm == doc.norm and again.rate == doc.rate
-        for a, b in zip(again.members, doc.members):
-            assert np.array_equal(a.b, b.b)
-            assert np.array_equal(a.c, b.c)
 
 
 class TestMatrixFile:
