@@ -32,7 +32,7 @@ from .matrixcore import (
     require_per_factor,
     spectral_certificate,
 )
-from .product import TraceRow, initial_state, limit_candidate, step, trace_row
+from .product import TraceRow, initial_state, step, trace_row
 
 __all__ = [
     "Periodic",
@@ -180,8 +180,7 @@ def cycle_accumulation_points(
     """
     points: list[np.ndarray] = []
     for j in range(len(cycle)):
-        period = functools.reduce(block_mul, [*cycle[j:], *cycle[:j]])
-        fixed = limit_candidate(period.b, period.c)
+        fixed = functools.reduce(block_mul, [*cycle[j:], *cycle[:j]]).limit
         if not any(np.array_equal(fixed, q) for q in points):
             points.append(fixed)
     return points
@@ -194,7 +193,7 @@ def _certificate_for_members(
     """Check a given certificate against every member, or find one."""
     if cert is not None:
         for i, a in enumerate(members, start=1):
-            cert.check(a.c, i)
+            cert.check(a, i)
         return cert
     found = uniform_certificate([a.c for a in members])
     if found is None:
@@ -210,7 +209,7 @@ def _worst_candidate_pair(
     """The limit candidates L_i = B_i (I - C_i)^{-1} of *members*, and the
     pair (i, j), i < j, farthest apart in Frobenius distance when that
     distance exceeds *tol* (the first pair within 1e-15 of it), else None."""
-    ls = [limit_candidate(a.b, a.c) for a in members]
+    ls = [a.limit for a in members]
     pairs = itertools.combinations(range(len(ls)), 2)
     gaps = {(i, j): float(np.linalg.norm(ls[i] - ls[j])) for i, j in pairs}
     worst = max(gaps.values(), default=0.0)
@@ -266,24 +265,24 @@ class _StreakDetector:
     """Numerical verdicts on a stream of values v_1, v_2, ... that converge
     exactly when the product does.
 
-    ``update`` takes the next value and returns a report once a test fires:
-    |v_n| leaves the ball of radius 1/eps (diverged); ``window`` consecutive
-    steps have ``step_norm(v_n - v_{n-1}) < eps`` (converged); ``window``
-    consecutive values return near v_{n-2} while far from v_{n-1} (diverged,
-    with two accumulation points).  *candidate* maps a value to its limit
-    candidate.
+    ``update`` takes the next value v_n and its step gap, the norm of
+    v_n - v_{n-1} that the caller has already evaluated (None for v_1), and
+    returns a report once a test fires: |v_n| leaves the ball of radius
+    1/eps (diverged); ``window`` consecutive gaps are below eps (converged);
+    ``window`` consecutive values return near v_{n-2} while far from v_{n-1}
+    (diverged, with two accumulation points).  *candidate* maps a value to
+    its limit candidate.
     """
 
     cfg: AnalyzerConfig
     cert: ContractionCertificate | GelfandCertificate
     what: str
-    step_norm: Callable[[np.ndarray], float]
     candidate: Callable[[np.ndarray], np.ndarray]
     last: list[np.ndarray] = field(default_factory=list)  # the latest three
     small_streak: int = 0
     osc_streak: int = 0
 
-    def update(self, v: np.ndarray) -> AnalysisReport | None:
+    def update(self, v: np.ndarray, gap: float | None) -> AnalysisReport | None:
         eps, window = self.cfg.eps, self.cfg.window
         if float(np.linalg.norm(v)) > 1.0 / eps:
             return AnalysisReport(
@@ -294,7 +293,7 @@ class _StreakDetector:
         last = self.last = self.last[-2:] + [v]
         if len(last) < 2:
             return None
-        small = self.step_norm(v - last[-2]) < eps
+        small = gap < eps
         self.small_streak = self.small_streak + 1 if small else 0
         if self.small_streak >= window:
             return AnalysisReport(
@@ -327,9 +326,7 @@ def _analyze_stream(
             "stream analysis needs a declared (or Lyapunov) contraction "
             "certificate checked at every step"
         )
-    detector = _StreakDetector(
-        cfg, cert, "limit candidate", lambda y: norm_value(y, cert.norm), lambda l: l
-    )
+    detector = _StreakDetector(cfg, cert, "limit candidate", lambda l: l)
     state = None
     trace: list[TraceRow] = []
     for a in _stream_factors(seq.factors, cfg.horizon):
@@ -337,7 +334,7 @@ def _analyze_stream(
             state = initial_state(a.s, a.csize)
         state = step(state, a, cert)
         trace.append(trace_row(state, cert))
-        report = detector.update(state.l)
+        report = detector.update(state.l, state.norm_y)
         if report is not None:
             bound = state.bound if report.limit is not None else None
             return replace(report, trace=tuple(trace), deviation_bound=bound)
@@ -429,11 +426,13 @@ def corollary1_analyze(
         cfg,
         cert,
         "B-blocks",
-        lambda y: float(np.linalg.norm(y)),
-        lambda b: limit_candidate(b, c_limit),
+        lambda b: BlockUpperTriangular(b.shape[0], b, c_limit).limit,
     )
+    prev = None
     for n, a in enumerate(_stream_factors(seq.factors, cfg.horizon), start=1):
-        report = detector.update(a.b)
+        gap = None if prev is None else float(np.linalg.norm(a.b - prev))
+        prev = a.b
+        report = detector.update(a.b, gap)
         if report is None:
             continue
         if a.c.shape != c_limit.shape:

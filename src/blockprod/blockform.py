@@ -3,14 +3,21 @@ structural operations."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError
-from .matrixcore import as_matrix
+from .matrixcore import _solve_right, as_matrix
 
 __all__ = ["BlockUpperTriangular", "block_mul"]
+
+
+def _read_only_copy(data) -> np.ndarray:
+    m = as_matrix(data).copy()
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
@@ -19,7 +26,9 @@ class BlockUpperTriangular:
 
     The identity block is implicit.  B is s x (d-s), C is (d-s) x (d-s),
     with s >= 1 and d - s >= 1.  Whether C contracts is certified
-    separately, never assumed.
+    separately, never assumed.  B and C are validated once, here, and stored
+    as read-only copies, so a later write to the caller's arrays does not
+    reach the factor.
     """
 
     s: int
@@ -27,8 +36,8 @@ class BlockUpperTriangular:
     c: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "b", as_matrix(self.b))
-        object.__setattr__(self, "c", as_matrix(self.c))
+        object.__setattr__(self, "b", _read_only_copy(self.b))
+        object.__setattr__(self, "c", _read_only_copy(self.c))
         if self.s < 1:
             raise ShapeError("identity block order must be >= 1")
         if self.c.shape[0] != self.c.shape[1] or self.c.shape[0] < 1:
@@ -38,6 +47,19 @@ class BlockUpperTriangular:
                 f"top-right block must be {self.s}x{self.c.shape[0]}, "
                 f"got {self.b.shape[0]}x{self.b.shape[1]}"
             )
+
+    @functools.cached_property
+    def limit(self) -> np.ndarray:
+        """The limit candidate B (I - C)^{-1}, read-only.
+
+        Computed by one LU factorization of I - C on first use and kept, so a
+        factor that recurs in a product is factored once.  Raises
+        :class:`SingularMatrixError` when I - C is singular to working
+        precision.
+        """
+        l = _solve_right(self.b, np.eye(self.csize, dtype=np.complex128) - self.c)
+        l.flags.writeable = False
+        return l
 
     @property
     def d(self) -> int:

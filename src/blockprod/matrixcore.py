@@ -3,15 +3,17 @@ right linear solves, and contraction certification.
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The helpers
 here enforce the invariants (2-D, finite entries) at construction points; all
-operations are pure.
+operations are pure.  The public :func:`norm_value` and :func:`solve_right`
+validate their inputs and then call the private ``_norm`` and
+``_solve_right``, which the step engine calls directly on matrices that were
+validated when their factor was built.
 """
 
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -23,6 +25,9 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
+
+if TYPE_CHECKING:
+    from .blockform import BlockUpperTriangular
 
 __all__ = [
     "as_matrix",
@@ -133,7 +138,11 @@ def _lyapunov_value(m: np.ndarray, p: np.ndarray) -> float:
 
 def norm_value(m, kind: MatrixNorm) -> float:
     """Evaluate the norm *kind* on matrix *m*."""
-    m = as_matrix(m)
+    return _norm(as_matrix(m), kind)
+
+
+def _norm(m: np.ndarray, kind: MatrixNorm) -> float:
+    """:func:`norm_value` of a validated complex 2-D array."""
     if kind.kind == "one":
         return float(np.abs(m).sum(axis=0).max()) if m.size else 0.0
     if kind.kind == "inf":
@@ -158,14 +167,22 @@ def solve_right(b, m) -> np.ndarray:
         raise ShapeError(
             f"operand columns ({b.shape[1]}) must match factor order ({m.shape[0]})"
         )
-    # X m = b  <=>  m^T X^T = b^T
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m.T, check_finite=False)
+    return _solve_right(b, m)
+
+
+_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+
+
+def _solve_right(b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """:func:`solve_right` of validated complex arrays of conforming shapes."""
+    # X m = b  <=>  m^T X^T = b^T; the transposes of C-ordered arrays are
+    # Fortran-ordered views, as LAPACK wants them
+    lu, piv, _ = _GETRF(m.T)
     pivots = np.abs(np.diag(lu))
     if pivots.min() <= 1e-14 * max(1.0, pivots.max()):
         raise SingularMatrixError(float(pivots.min()))
-    return scipy.linalg.lu_solve((lu, piv), b.T, check_finite=False).T
+    x, _ = _GETRS(lu, piv, b.T)
+    return x.T
 
 
 def _stein_certificate(cs: list[np.ndarray]) -> ContractionCertificate:
@@ -241,11 +258,11 @@ class ContractionCertificate:
         if self.kind not in ("declared", "lyapunov"):
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
-    def check(self, c, step: int) -> None:
-        """Check one factor's C-block against this certificate; a C-block
-        whose norm exceeds the rate raises :class:`CertificateViolationError`
-        naming *step*."""
-        val = norm_value(c, self.norm)
+    def check(self, a: BlockUpperTriangular, step: int) -> None:
+        """Check the C-block of factor *a*, validated when *a* was built,
+        against this certificate; a C-block whose norm exceeds the rate
+        raises :class:`CertificateViolationError` naming *step*."""
+        val = _norm(a.c, self.norm)
         if val > self.rate * (1 + 1e-12) + 1e-15:
             raise CertificateViolationError(step, val, self.rate)
 
@@ -277,11 +294,15 @@ def require_per_factor(cert) -> ContractionCertificate:
     """Return *cert* if it bounds every factor's C-block in one norm; raise
     :class:`InvalidCertificateError` for anything else, such as a Gelfand
     certificate, which bounds powers of one matrix."""
-    if not isinstance(cert, ContractionCertificate):
+    if isinstance(cert, ContractionCertificate):
+        return cert
+    if isinstance(cert, GelfandCertificate):
         raise InvalidCertificateError(
             "a gelfand certificate bounds powers of one matrix, not each factor"
         )
-    return cert
+    raise InvalidCertificateError(
+        f"expected a ContractionCertificate, got {type(cert).__name__}"
+    )
 
 
 def spectral_certificate(

@@ -28,3 +28,21 @@ def random_block(rng, s, m, bscale=1.0, cnorm=0.9):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230817)
+
+
+@pytest.fixture
+def lu_solves(monkeypatch):
+    """The orders of the matrices factored by every private LU solve made
+    while the test runs."""
+    from blockprod import blockform, matrixcore
+
+    calls = []
+    original = matrixcore._solve_right
+
+    def counted(b, m):
+        calls.append(m.shape[0])
+        return original(b, m)
+
+    monkeypatch.setattr(matrixcore, "_solve_right", counted)
+    monkeypatch.setattr(blockform, "_solve_right", counted)
+    return calls

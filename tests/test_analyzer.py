@@ -130,6 +130,17 @@ class TestAnalyzePeriodic:
             assert closest(witness.points, 10 + 5e-11 / 0.19) < 1e-13
             assert closest(witness.points, 10 + 4.5e-11 / 0.19) < 1e-13
 
+    def test_candidates_factor_each_member_once(self, lu_solves):
+        converging = Periodic(tuple(with_candidate(2.0, c) for c in (0.5, 0.25, 0.75)))
+        for _ in range(2):
+            assert analyze(converging).verdict is Verdict.CERTIFIED_CONVERGED
+        assert len(lu_solves) == 3
+        # a diverging cycle also solves once for each phase's period product
+        lu_solves.clear()
+        diverging = Periodic(tuple(with_candidate(l, 0.5) for l in (2.0, 4.0, 3.0)))
+        assert analyze(diverging).verdict is Verdict.CERTIFIED_DIVERGED
+        assert len(lu_solves) == 3 + 3
+
     def test_nilpotent_cycle_uses_lyapunov(self):
         a = BlockUpperTriangular(1, [[1.0, 1.0]], NILPOTENT)
         report = analyze(Periodic((a,)))

@@ -30,6 +30,27 @@ class TestInvariants:
             BlockUpperTriangular(1, np.zeros((1, 2)), np.zeros((2, 3)))
 
 
+class TestOwnership:
+    def test_caller_writes_do_not_reach_the_factor(self):
+        b = np.array([[1.0, 2.0]], dtype=np.complex128)
+        c = np.array([[0.5, 0.0], [0.25, 0.5]], dtype=np.complex128)
+        fresh = BlockUpperTriangular(1, b.copy(), c.copy())
+        a = BlockUpperTriangular(1, b, c)
+        b[0, 0] = np.nan
+        c[...] = 2.0
+        assert np.array_equal(a.b, fresh.b) and np.array_equal(a.c, fresh.c)
+        assert np.array_equal(a.limit, fresh.limit)
+        with pytest.raises(ValueError):
+            a.c[0, 0] = 1
+        with pytest.raises(ValueError):
+            a.limit[0, 0] = 1
+
+    def test_limit_is_the_candidate_computed_once(self):
+        a = scalar_form(1.0, 0.5)
+        assert a.limit is a.limit
+        assert a.limit[0, 0] == 2.0
+
+
 class TestBlockMul:
     def test_zero(self):
         a = scalar_form(0.0, 0.0)

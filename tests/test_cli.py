@@ -1,8 +1,10 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blockprod
@@ -100,6 +102,21 @@ class TestProduct:
         path.write_text(text)
         code, out, err = run(capsys, "product", "--input", str(path), "--n", "3")
         assert code == 2 and out == "" and err.startswith("parse error:")
+
+
+def test_product_factors_each_member_once(capsys, tmp_path, lu_solves):
+    rng = np.random.default_rng(4)
+    members = []
+    for _ in range(4):
+        c = rng.uniform(-1, 1, (2, 2))
+        c *= 0.8 / np.abs(c).sum(axis=1).max()
+        members.append({"B": rng.standard_normal((1, 2)).tolist(), "C": c.tolist()})
+    path = tmp_path / "period4.json"
+    doc = {"kind": "periodic", "s": 1, "d": 3, "matrices": members}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "product", "--input", str(path), "--n", "100")
+    assert code == 0 and "dense cross-check: OK" in out
+    assert len(lu_solves) == 4
 
 
 class TestAnalyze:

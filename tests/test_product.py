@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockprod import (
+    BUILTIN_NORMS,
     BlockUpperTriangular,
     CertificateViolationError,
     ContractionCertificate,
     FROBENIUS,
+    GelfandCertificate,
     INF_NORM,
     InvalidCertificateError,
     ShapeError,
@@ -92,6 +94,19 @@ class TestStep:
         with pytest.raises(InvalidCertificateError):
             run(seq, cert)
 
+    @pytest.mark.parametrize(
+        "cert,message",
+        [
+            (None, "expected a ContractionCertificate, got NoneType"),
+            (INF_NORM, "expected a ContractionCertificate, got MatrixNorm"),
+            (GelfandCertificate(INF_NORM, 0.5, 2), "a gelfand certificate bounds"),
+        ],
+        ids=["none", "norm", "gelfand"],
+    )
+    def test_refusal_names_the_certificate_received(self, cert, message):
+        with pytest.raises(InvalidCertificateError, match=message):
+            step(initial_state(1, 1), A_HALF, cert)
+
     def test_rejects_factor_of_other_shape(self):
         tall = BlockUpperTriangular(2, [[1.0], [2.0]], [[0.5]])
         for state in [initial_state(1, 1), *run([A_HALF], CERT_HALF)]:
@@ -158,6 +173,49 @@ class TestLyapunovStepping:
         for state in run(seq, cert):
             assert state.bound >= norm_value(state.d_dev, cert.norm) - 1e-10
             assert state.identity_residual <= 1e-10
+
+
+@st.composite
+def declared_sequences(draw):
+    """A declared certificate in one built-in norm, and 1-30 factors with
+    s, m <= 4 whose C-blocks contract in that norm at or below its rate."""
+    norm = draw(st.sampled_from(BUILTIN_NORMS))
+    rate = draw(st.floats(0.1, 0.95))
+    s, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seq = []
+    for _ in range(draw(st.integers(1, 30))):
+        c = random_complex(rng, m, m)
+        c *= rate * rng.uniform(0.2, 1.0) / norm_value(c, norm)
+        seq.append(BlockUpperTriangular(s, random_complex(rng, s, m), c))
+    return ContractionCertificate(norm, rate, "declared"), seq
+
+
+class TestDeclaredStepping:
+    @settings(max_examples=60, deadline=None)
+    @given(case=declared_sequences())
+    def test_states_and_trace_rows(self, case):
+        cert, seq = case
+        gamma = np.eye(seq[0].csize, dtype=np.complex128)
+        for n, (a, state) in enumerate(zip(seq, run(seq, cert)), start=1):
+            gamma = gamma @ a.c
+            x = explicit_sum(seq, n)
+            assert np.abs(state.x - x).max() <= 1e-10 * max(1.0, np.abs(x).max())
+            scale = max(1.0, np.abs(gamma).max())
+            assert np.abs(state.gamma - gamma).max() <= 1e-10 * scale
+            assert state.bound >= norm_value(state.d_dev, cert.norm) - 1e-10
+            assert state.identity_residual <= 1e-10
+            # the norms step keeps on the state are the public norm_value's
+            row = trace_row(state, cert)
+            y = 0.0 if state.y_prev is None else norm_value(state.y_prev, cert.norm)
+            assert row == (
+                n,
+                norm_value(state.x, cert.norm),
+                y,
+                norm_value(state.d_dev, cert.norm),
+                state.bound,
+                norm_value(state.gamma, cert.norm),
+            )
 
 
 class TestExplicitSum:
