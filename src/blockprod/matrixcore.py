@@ -185,27 +185,87 @@ def _solve_right(b: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x.T
 
 
+#: largest C-block order m for which the Stein system of a set is assembled:
+#: its m^2 x m^2 complex matrix takes 16 m^4 bytes, about 85 MB at m = 48
+_STEIN_SET_MAX_ORDER = 48
+
+_TRTRS, _GESV = scipy.linalg.get_lapack_funcs(("trtrs", "gesv"), dtype=np.complex128)
+
+
+_STEIN_SINGULAR = "Stein equation is singular; spectral radius >= 1 suspected"
+
+
+def _stein_schur(c: np.ndarray) -> np.ndarray:
+    """Solve P - C* P C = I by the Bartels-Stewart column recurrence on the
+    complex Schur form C = Z T Z* (Barraud 1977), in O(m^3) time and O(m^2)
+    memory.
+
+    X = Z* P Z solves X - T* X T = I, and its column j solves the
+    lower-triangular system (I - t_jj T*) x_j = e_j + T* X[:, :j] T[:j, j].
+    A zero diagonal entry 1 - t_jj conj(t_ii) means two eigenvalues whose
+    product is one, and the equation is singular.  Where that product is
+    within rounding of modulus one, each column divides by a pivot near zero
+    and X can overflow; a non-finite X is refused the same way.
+    """
+    t, z = scipy.linalg.schur(c, output="complex")
+    n = t.shape[0]
+    th = t.conj().T
+    eye = np.eye(n, dtype=np.complex128)
+    x = np.empty((n, n), dtype=np.complex128, order="F")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            rhs = eye[:, j] + th @ (x[:, :j] @ t[:j, j])
+            x[:, j], info = _TRTRS(eye - t[j, j] * th, rhs, lower=1)
+            if info > 0:
+                raise NoContractingNormError(_STEIN_SINGULAR)
+    if not np.isfinite(x).all():
+        raise NoContractingNormError(_STEIN_SINGULAR)
+    return z @ x @ z.conj().T
+
+
+def _stein_assembled(cs: list[np.ndarray]) -> np.ndarray:
+    """Solve P - sum_i C_i* P C_i = I for two or more matrices through the
+    m^2 x m^2 system (I - sum_i C_i^T kron C_i*) vec(P) = vec(I), with a
+    column-major vec.
+
+    The sum is assembled by one product over the stacked members, straight
+    into its final layout, and solved in place, so the system is the one
+    array of size m^4.  Orders above :data:`_STEIN_SET_MAX_ORDER` are refused
+    before anything of that size is allocated.
+    """
+    n = cs[0].shape[0]
+    if n > _STEIN_SET_MAX_ORDER:
+        raise NoContractingNormError(
+            f"the Stein system of a set at m = {n} has order {n * n}; "
+            f"sets are solved up to m = {_STEIN_SET_MAX_ORDER}"
+        )
+    a = np.stack(cs)
+    # op[(p, q), (r, s)] = sum_i C_i[r, p] conj(C_i[s, q]); the C-ordered
+    # transpose built here is op in the Fortran order LAPACK reads
+    op_t = np.einsum("irp,isq->rspq", a, a.conj(), order="C").reshape(n * n, n * n)
+    op_t *= -1
+    op_t.flat[:: n * n + 1] += 1
+    rhs = np.eye(n, dtype=np.complex128).reshape(-1)
+    _, _, vec_p, info = _GESV(op_t.T, rhs, overwrite_a=1, overwrite_b=1)
+    if info > 0:
+        raise NoContractingNormError(_STEIN_SINGULAR)
+    return vec_p.reshape((n, n), order="F")
+
+
 def _stein_certificate(cs: list[np.ndarray]) -> ContractionCertificate:
     """A Lyapunov certificate contracting every matrix in *cs* at once.
 
-    Solves the Stein equation P - sum_i C_i* P C_i = I by dense vectorization
-    and accepts the solution only when, after symmetrisation, its relative
-    residual is at most 1e-10, it is positive definite, and the largest member
-    norm it induces (the rate) is below one.  Otherwise raises
+    Solves the Stein equation P - sum_i C_i* P C_i = I: by the Schur
+    recurrence of :func:`_stein_schur` for one matrix, and by the assembled
+    system of :func:`_stein_assembled` for two or more.  Accepts the
+    solution only when, after symmetrisation, its relative residual is at
+    most 1e-10, it is positive definite, and the largest member norm it
+    induces (the rate) is below one.  Otherwise, or when the equation is
+    singular or a set is too large to assemble, raises
     :class:`NoContractingNormError`.
     """
-    n = cs[0].shape[0]
-    # vec(C* P C) = (C^T kron C*) vec(P), column-major vec
-    op = np.eye(n * n, dtype=np.complex128)
-    for c in cs:
-        op -= np.kron(c.T, c.conj().T)
-    try:
-        vec_p = np.linalg.solve(op, np.eye(n, dtype=np.complex128).flatten("F"))
-    except np.linalg.LinAlgError:
-        raise NoContractingNormError(
-            "Stein equation is singular; spectral radius >= 1 suspected"
-        ) from None
-    p = vec_p.reshape((n, n), order="F")
+    p = _stein_schur(cs[0]) if len(cs) == 1 else _stein_assembled(cs)
+    n = p.shape[0]
     p = 0.5 * (p + p.conj().T)
     residual = np.linalg.norm(p - sum(c.conj().T @ p @ c for c in cs) - np.eye(n))
     if residual > 1e-10 * max(1.0, np.linalg.norm(p)):
@@ -227,9 +287,10 @@ def _stein_certificate(cs: list[np.ndarray]) -> ContractionCertificate:
 def lyapunov_scaling(c) -> MatrixNorm:
     """Construct a norm under which *c* is a strict contraction.
 
-    Solves the Stein equation P - C* P C = I by dense vectorization and
-    returns the Lyapunov-scaled norm built from P.  Succeeds exactly when the
-    spectral radius of c is below one; otherwise raises
+    Solves the Stein equation P - C* P C = I by the Bartels-Stewart
+    recurrence on the complex Schur form of c, in O(m^3) time and O(m^2)
+    memory, and returns the Lyapunov-scaled norm built from P.  Succeeds
+    exactly when the spectral radius of c is below one; otherwise raises
     :class:`NoContractingNormError`.
     """
     c = as_matrix(c)

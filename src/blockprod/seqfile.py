@@ -184,10 +184,20 @@ def fmt_complex(z) -> str:
 
 
 def fmt_matrix(m) -> str:
-    m = np.atleast_2d(np.asarray(m))
-    return "\n".join(
-        "  [" + ", ".join(fmt_complex(v) for v in row) + "]" for row in m
+    """Print *m* one row per line, each entry by the rule of
+    :func:`fmt_complex`, through a single ``%`` format for the whole matrix."""
+    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
+    has_imag = m.imag != 0.0
+    entry = np.where(
+        has_imag,
+        np.where(m.imag >= 0, "(%.17g+%.17gj)", "(%.17g-%.17gj)"),
+        "%.17g",
     )
+    fmt = "\n".join("  [" + ", ".join(row) + "]" for row in entry.tolist())
+    # each entry's real part, then its imaginary magnitude where one is printed
+    printed = np.stack([np.ones_like(has_imag), has_imag], axis=-1)
+    args = np.stack([m.real, np.abs(m.imag)], axis=-1)[printed]
+    return fmt % tuple(args.tolist())
 
 
 def _witness_lines(witness: Witness) -> list[str]:

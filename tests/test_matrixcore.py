@@ -1,5 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from blockprod import (
     BUILTIN_NORMS,
@@ -18,6 +23,13 @@ from blockprod import (
     norm_value,
     solve_right,
     spectral_certificate,
+    uniform_certificate,
+)
+from blockprod.matrixcore import (
+    _STEIN_SET_MAX_ORDER,
+    _stein_assembled,
+    _stein_certificate,
+    _stein_schur,
 )
 from conftest import random_complex
 
@@ -209,6 +221,87 @@ class TestLyapunovScaling:
             lyapunov_scaling([[1.5]])
         with pytest.raises(NoContractingNormError):
             lyapunov_scaling([[0.0, 1.0], [-1.0, 0.0]])  # spectral radius 1
+
+
+def kron_stein(cs):
+    """Oracle: P - sum_i C_i* P C_i = I solved through the dense
+    vectorization vec(C* P C) = (C^T kron C*) vec(P), column-major vec."""
+    n = cs[0].shape[0]
+    op = np.eye(n * n, dtype=complex) - sum(np.kron(c.T, c.conj().T) for c in cs)
+    return np.linalg.solve(op, np.eye(n).flatten("F")).reshape((n, n), order="F")
+
+
+def rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+@st.composite
+def stein_members(draw):
+    """1-3 random complex m x m matrices, m <= 14, scaled so the spectral
+    radius of P -> sum_i C_i* P C_i (for one matrix, the square of its
+    spectral radius) is at most 0.95, so a positive definite solution exists."""
+    m, k = draw(st.integers(1, 14)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cs = [random_complex(rng, m, m) for _ in range(k)]
+    rho = max(abs(np.linalg.eigvals(sum(np.kron(c.T, c.conj().T) for c in cs))))
+    scale = np.sqrt(draw(st.floats(0.1, 0.95)) / rho)
+    return [c * scale for c in cs]
+
+
+class TestSteinSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(cs=stein_members())
+    def test_matches_kron_oracle_and_is_accepted(self, cs):
+        p = _stein_schur(cs[0]) if len(cs) == 1 else _stein_assembled(cs)
+        expected = kron_stein(cs)
+        assert np.abs(p - expected).max() <= 1e-8 * np.abs(expected).max()
+        cert = _stein_certificate(cs)
+        assert cert.kind == "lyapunov" and cert.rate < 1.0
+        assert np.abs(cert.norm.scaling - p).max() <= 1e-8 * np.abs(p).max()
+
+    def test_certifies_near_minus_one_at_m_12(self):
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((12, 12)))
+        c = q @ np.diag([-1 + 1e-9] + [0.5] * 11) @ q.T
+        kind = lyapunov_scaling(c)
+        assert norm_value(c, kind) == pytest.approx(1 - 1e-9, abs=1e-12)
+
+    def test_certifies_nilpotent_shift_at_m_12(self):
+        c = np.eye(12, k=1)
+        kind = lyapunov_scaling(c)
+        # C^12 = 0, so P = sum_k C*^k C^k = diag(1, 2, ..., 12)
+        assert np.abs(kind.scaling - np.diag(np.arange(1.0, 13.0))).max() < 1e-12
+        assert norm_value(c, kind) < 1.0
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            np.eye(12),
+            -np.eye(12),
+            scipy.linalg.block_diag(*map(rotation, (0.3, 0.7, 1.0, 2.0, 2.5, 3.0))),
+            np.exp(0.7j) * (np.eye(12) + np.eye(12, k=1)),
+        ],
+        ids=["identity", "minus_identity", "rotations", "unit_jordan"],
+    )
+    def test_refuses_unit_circle_without_warning(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoContractingNormError):
+                lyapunov_scaling(c)
+            assert spectral_certificate(c) is None
+
+    def test_set_above_the_cap_is_refused_before_allocating(self):
+        m = _STEIN_SET_MAX_ORDER + 1
+        c = 0.5 * np.eye(m) + 0.9 * np.eye(m, k=1)
+        tracemalloc.start()
+        try:
+            assert uniform_certificate([c, c.T]) is None
+            with pytest.raises(NoContractingNormError, match=f"m = {m}.*order {m * m}"):
+                _stein_certificate([as_matrix(c), as_matrix(c.T)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the system would take 16 m^4 bytes, about 92 MB
+        assert peak < 4e6
 
 
 class TestCertificateTypes:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockprod import ParseError
 from blockprod.product import TraceRow
@@ -7,6 +8,7 @@ from blockprod.seqfile import (
     TRACE_HEADER,
     fmt_complex,
     fmt_float,
+    fmt_matrix,
     parse_matrix_file,
     parse_sequence_text,
     write_trace_csv,
@@ -106,6 +108,29 @@ class TestFormatting:
     def test_complex(self):
         assert fmt_complex(2.0) == "2"
         assert fmt_complex(1 - 2j) == "(1-2j)"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        data=st.data(),
+        real=st.booleans(),
+        transpose=st.booleans(),
+    )
+    def test_matrix_is_the_join_of_its_entries(self, shape, data, real, transpose):
+        parts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats())
+        entries = data.draw(
+            st.lists(st.tuples(parts, parts), min_size=shape[0] * shape[1],
+                     max_size=shape[0] * shape[1])
+        )
+        m = np.array([complex(re, im) for re, im in entries]).reshape(shape)
+        if real:
+            m = m.real
+        if transpose:
+            m = m.T
+        expected = "\n".join(
+            "  [" + ", ".join(fmt_complex(v) for v in row) + "]" for row in m
+        )
+        assert fmt_matrix(m) == expected
 
 
 class TestTraceCsv:
