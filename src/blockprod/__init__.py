@@ -23,6 +23,7 @@ from .errors import (
     AnalysisRefusedError,
     BlockprodError,
     CertificateViolationError,
+    DeviationIdentityError,
     InvalidCertificateError,
     NoContractingNormError,
     ParseError,

@@ -90,21 +90,23 @@ class Stream:
     factors: Iterable[BlockUpperTriangular]
 
 
+#: consecutive steps a stream's streak test must hold before it fires
+_STREAK_WINDOW = 20
+
+
 @dataclass(frozen=True)
 class AnalyzerConfig:
+    """The tolerance *eps* of every verdict, and the number of factors of a
+    stream that are read, at least the streak window of 20."""
+
     eps: float = 1e-10
     horizon: int = 10000
-    window: int = 20
 
     def __post_init__(self):
-        counts = (self.horizon, self.window)
-        if not all(isinstance(v, numbers.Integral) for v in counts):
-            raise ValueError("horizon and window must be integers")
-        values = (self.eps, self.horizon, self.window)
-        if not all(0 < v < math.inf for v in values):
-            raise ValueError("all configuration values must be positive and finite")
-        if self.window > self.horizon:
-            raise ValueError("window must not exceed horizon")
+        if not isinstance(self.horizon, numbers.Integral):
+            raise ValueError("horizon must be an integer")
+        if not (0 < self.eps < math.inf and self.horizon >= _STREAK_WINDOW):
+            raise ValueError(f"need 0 < eps < inf and horizon >= {_STREAK_WINDOW}")
 
 
 class Verdict(enum.Enum):
@@ -268,8 +270,8 @@ class _StreakDetector:
     ``update`` takes the next value v_n and its step gap, the norm of
     v_n - v_{n-1} that the caller has already evaluated (None for v_1), and
     returns a report once a test fires: |v_n| leaves the ball of radius
-    1/eps (diverged); ``window`` consecutive gaps are below eps (converged);
-    ``window`` consecutive values return near v_{n-2} while far from v_{n-1}
+    1/eps (diverged); 20 consecutive gaps are below eps (converged); 20
+    consecutive values return near v_{n-2} while far from v_{n-1}
     (diverged, with two accumulation points).  *candidate* maps a value to
     its limit candidate.
     """
@@ -283,7 +285,7 @@ class _StreakDetector:
     osc_streak: int = 0
 
     def update(self, v: np.ndarray, gap: float | None) -> AnalysisReport | None:
-        eps, window = self.cfg.eps, self.cfg.window
+        eps = self.cfg.eps
         if float(np.linalg.norm(v)) > 1.0 / eps:
             return AnalysisReport(
                 verdict=Verdict.DIVERGED_NUMERICALLY,
@@ -295,7 +297,7 @@ class _StreakDetector:
             return None
         small = gap < eps
         self.small_streak = self.small_streak + 1 if small else 0
-        if self.small_streak >= window:
+        if self.small_streak >= _STREAK_WINDOW:
             return AnalysisReport(
                 verdict=Verdict.CONVERGED_NUMERICALLY,
                 limit=_limit_dense(self.candidate(v)),
@@ -306,7 +308,7 @@ class _StreakDetector:
         near_two_back = np.linalg.norm(v - last[0]) < eps
         far_one_back = np.linalg.norm(v - last[1]) > 100 * eps
         self.osc_streak = self.osc_streak + 1 if near_two_back and far_one_back else 0
-        if self.osc_streak >= window:
+        if self.osc_streak >= _STREAK_WINDOW:
             return AnalysisReport(
                 verdict=Verdict.DIVERGED_NUMERICALLY,
                 certificate=self.cert,

@@ -53,10 +53,6 @@ def _load_sequence(path, want_set: bool) -> SequenceDocument:
     doc = parse_sequence_file(path)
     if want_set and doc.kind != "set":
         raise ParseError("this command needs a file of kind 'set'")
-    if want_set and doc.certificate is not None:
-        raise ParseError(
-            "a set file declares no certificate; certify-rcp searches for one"
-        )
     if not want_set and doc.kind == "set":
         raise ParseError("kind 'set' is only valid for certify-rcp")
     return doc
@@ -127,9 +123,8 @@ def cmd_norm(args) -> int:
     if args.kind == "lyapunov":
         norm = lyapunov_scaling(m)
     else:
-        auto = args.kind == "auto"
-        norms = BUILTIN_NORMS if auto else (norm_by_name(args.kind),)
-        cert = spectral_certificate(m, norms=norms, fallback=auto)
+        given = None if args.kind == "auto" else norm_by_name(args.kind)
+        cert = spectral_certificate(m, given)
         if cert is None:
             raise NoContractingNormError(
                 "no contraction certificate found "
@@ -171,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument(
         "--kind",
-        choices=("auto", "one", "inf", "fro", "lyapunov"),
+        choices=("auto", *(norm.kind for norm in BUILTIN_NORMS), "lyapunov"),
         default="auto",
     )
     p.set_defaults(func=cmd_norm)

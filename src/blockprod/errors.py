@@ -23,7 +23,8 @@ class NoContractingNormError(BlockprodError):
 
 
 class InvalidCertificateError(BlockprodError):
-    """A contraction certificate with rate >= 1 was supplied."""
+    """A supplied certificate cannot bound every factor: its rate is outside
+    [0, 1), it is a Gelfand certificate, or it is not a certificate."""
 
 
 class CertificateViolationError(BlockprodError):
@@ -36,6 +37,11 @@ class CertificateViolationError(BlockprodError):
         self.step = step
         self.value = value
         self.rate = rate
+
+
+class DeviationIdentityError(BlockprodError, ArithmeticError):
+    """The product engine's deviation identity D' = (D - Y) C failed beyond
+    its rounding tolerance."""
 
 
 class AnalysisRefusedError(BlockprodError):

@@ -47,12 +47,9 @@ __all__ = [
 
 
 def as_matrix(data) -> np.ndarray:
-    """Coerce *data* to a 2-D complex128 array, rejecting NaN/Inf entries."""
+    """Coerce 2-D *data* to a complex128 array, rejecting every other number
+    of dimensions (a vector is not read as a row) and NaN/Inf entries."""
     m = np.asarray(data, dtype=np.complex128)
-    if m.ndim == 0:
-        m = m.reshape(1, 1)
-    elif m.ndim == 1:
-        m = m.reshape(1, -1)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
@@ -99,9 +96,6 @@ class MatrixNorm:
         if not isinstance(other, MatrixNorm):
             return NotImplemented
         return self.kind == other.kind and np.array_equal(self.scaling, other.scaling)
-
-    def describe(self) -> str:
-        return self.kind
 
 
 ONE_NORM = MatrixNorm("one")
@@ -190,6 +184,7 @@ def _solve_right(b: np.ndarray, m: np.ndarray) -> np.ndarray:
 _STEIN_SET_MAX_ORDER = 48
 
 _TRTRS, _GESV = scipy.linalg.get_lapack_funcs(("trtrs", "gesv"), dtype=np.complex128)
+_NRM2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.complex128)
 
 
 _STEIN_SINGULAR = "Stein equation is singular; spectral radius >= 1 suspected"
@@ -267,8 +262,10 @@ def _stein_certificate(cs: list[np.ndarray]) -> ContractionCertificate:
     p = _stein_schur(cs[0]) if len(cs) == 1 else _stein_assembled(cs)
     n = p.shape[0]
     p = 0.5 * (p + p.conj().T)
-    residual = np.linalg.norm(p - sum(c.conj().T @ p @ c for c in cs) - np.eye(n))
-    if residual > 1e-10 * max(1.0, np.linalg.norm(p)):
+    # Frobenius norms by BLAS nrm2, which scales as it sums; np.linalg.norm
+    # squares the entries and reads inf once ||P|| passes about 1e154
+    residual = _NRM2((p - sum(c.conj().T @ p @ c for c in cs) - np.eye(n)).ravel())
+    if not residual <= 1e-10 * max(1.0, _NRM2(p.ravel())):  # refuses NaN too
         raise NoContractingNormError(
             f"Stein residual {residual:.3e} too large; no contracting norm found"
         )
@@ -328,7 +325,7 @@ class ContractionCertificate:
             raise CertificateViolationError(step, val, self.rate)
 
     def describe(self) -> str:
-        return f"{self.kind} norm={self.norm.describe()} rate={self.rate:.17g}"
+        return f"{self.kind} norm={self.norm.kind} rate={self.rate:.17g}"
 
 
 @dataclass(frozen=True)
@@ -348,7 +345,7 @@ class GelfandCertificate:
             raise ValueError(f"power must be an integer >= 1, got {self.power!r}")
 
     def describe(self) -> str:
-        return f"gelfand k={self.power} norm={self.norm.describe()} rate={self.rate:.17g}"
+        return f"gelfand k={self.power} norm={self.norm.kind} rate={self.rate:.17g}"
 
 
 def require_per_factor(cert) -> ContractionCertificate:
@@ -366,41 +363,38 @@ def require_per_factor(cert) -> ContractionCertificate:
     )
 
 
+#: the highest power of C that :func:`spectral_certificate` evaluates
+_GELFAND_MAX_POWER = 64
+
+
 def spectral_certificate(
-    c,
-    k_max: int = 64,
-    norms: tuple[MatrixNorm, ...] = BUILTIN_NORMS,
-    fallback: bool = True,
+    c, norm: MatrixNorm | None = None
 ) -> GelfandCertificate | ContractionCertificate | None:
     """Certify that the spectral radius of *c* is below one.
 
-    Searches powers k = 1, 2, 4, 6, ... up to *k_max* for a built-in norm
-    with ||C^k|| < 1, giving a :class:`GelfandCertificate` with rate
-    ||C^k||^(1/k); falls back to a Lyapunov :class:`ContractionCertificate`.
-    Returns None when undecided; None is *not* a proof that the spectral
-    radius is >= 1.
+    Searches powers k = 1, 2, 4, 6, ... up to 64 for ||C^k|| < 1 in *norm*,
+    giving a :class:`GelfandCertificate` with rate ||C^k||^(1/k).  A given
+    *norm* is searched alone.  With none, the built-in norms are searched,
+    and then a Lyapunov :class:`ContractionCertificate` is tried.  Returns
+    None when undecided; None is *not* a proof that the spectral radius is
+    >= 1.
     """
     c = as_matrix(c)
     if c.shape[0] != c.shape[1]:
         raise ShapeError("matrix must be square")
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
-    c2 = None
-    power = c
-    k = 1
-    while k <= k_max:
-        if not np.all(np.isfinite(power)):
-            break
-        for norm in norms:
-            val = norm_value(power, norm)
+    norms = BUILTIN_NORMS if norm is None else (norm,)
+    power, k = c, 1
+    while k <= _GELFAND_MAX_POWER and np.isfinite(power).all():
+        for candidate in norms:
+            val = norm_value(power, candidate)
             if val < 1.0:
-                return GelfandCertificate(norm, float(val ** (1.0 / k)), k)
+                return GelfandCertificate(candidate, float(val ** (1.0 / k)), k)
         if k == 1:
             c2 = c @ c
             power, k = c2, 2
         else:
             power, k = power @ c2, k + 2
-    if not fallback:
+    if norm is not None:
         return None
     try:
         return _stein_certificate([c])

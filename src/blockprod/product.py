@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .blockform import BlockUpperTriangular
-from .errors import ShapeError
+from .errors import DeviationIdentityError, ShapeError
 from .matrixcore import ContractionCertificate, _norm, require_per_factor
 
 # not called here: perfbench/tracing.py patches norm_value in every blockprod
@@ -97,7 +97,8 @@ def step(
     raises :class:`CertificateViolationError` naming the step.  A factor
     whose B-block does not have the shape of X raises :class:`ShapeError`.
     The deviation identity D' = (D - Y) C is verified to within
-    ``IDENTITY_TOL`` at every step past the first.
+    ``IDENTITY_TOL`` at every step past the first; a failure raises
+    :class:`DeviationIdentityError`.
 
     The factor's blocks were validated when it was built, so nothing is
     validated again here: the limit candidate is the factor's cached
@@ -123,7 +124,7 @@ def step(
         bound = (state.bound + norm_y) * cert.rate
         residual = _norm(d_dev - (state.d_dev - y) @ a.c, cert.norm)
         if residual > IDENTITY_TOL * max(1.0, norm_d):
-            raise ArithmeticError(
+            raise DeviationIdentityError(
                 f"deviation identity violated at step {n}: residual {residual:.3e}"
             )
     return ProductState(

@@ -6,13 +6,14 @@ A sequence file is a JSON document:
       "kind": "periodic" | "finite" | "set",
       "s": 1, "d": 2,
       "matrices": [{"B": [[1]], "C": [[0.5]]}, ...],
-      "norm": "one" | "inf" | "fro" | "auto",   (optional)
-      "rate": 0.9                               (optional, declares r)
+      "norm": NAME | "auto",    (optional)
+      "rate": 0.9               (optional, declares r)
     }
 
-A built-in ``norm`` and a ``rate`` declare a certificate together: give both
-or neither.  ``"auto"`` asks for a search and takes no ``rate``.  The CLI
-refuses a declared certificate on a ``set`` file.
+NAME is the kind of one of ``BUILTIN_NORMS``.  A built-in ``norm`` and a
+``rate`` declare a certificate together: give both or neither.  ``"auto"``
+asks for a search and takes no ``rate``.  A ``set`` file declares no
+certificate, since certify-rcp searches for its own.
 
 Complex scalars are encoded as two-element arrays [re, im]; bare numbers are
 read as reals.  Every number must be finite in double precision, and
@@ -29,13 +30,7 @@ import numpy as np
 from .analyzer import AnalysisReport, RcpVerdict, Verdict, Witness
 from .blockform import BlockUpperTriangular
 from .errors import ParseError
-from .matrixcore import (
-    ContractionCertificate,
-    FROBENIUS,
-    INF_NORM,
-    MatrixNorm,
-    ONE_NORM,
-)
+from .matrixcore import BUILTIN_NORMS, ContractionCertificate, MatrixNorm
 from .product import TraceRow
 
 __all__ = [
@@ -55,7 +50,7 @@ __all__ = [
 
 TRACE_HEADER = "n,norm_X,norm_Y,norm_D,bound,norm_gamma"
 
-_NORMS = {"one": ONE_NORM, "inf": INF_NORM, "fro": FROBENIUS}
+_NORMS = {norm.kind: norm for norm in BUILTIN_NORMS}
 
 
 def norm_by_name(name: str) -> MatrixNorm:
@@ -140,8 +135,8 @@ def parse_sequence_text(text: str) -> SequenceDocument:
         c = _array(entry["C"], m, m, f"entry {idx} C")
         members.append(BlockUpperTriangular(s, b, c))
     norm = doc.get("norm")
-    if norm is not None and norm not in ("one", "inf", "fro", "auto"):
-        raise ParseError(f"norm must be one, inf, fro, or auto, got {norm!r}")
+    if norm not in (None, "auto", *_NORMS):
+        raise ParseError(f"norm must be {', '.join(_NORMS)}, or auto, got {norm!r}")
     rate = doc.get("rate")
     if rate is not None:
         if type(rate) not in _REAL:
@@ -150,6 +145,8 @@ def parse_sequence_text(text: str) -> SequenceDocument:
     if (norm in (None, "auto")) != (rate is None):
         raise ParseError('a built-in norm and a rate go together; "auto" takes no rate')
     cert = None if rate is None else ContractionCertificate(norm_by_name(norm), rate)
+    if kind == "set" and cert is not None:
+        raise ParseError("a set file declares no certificate; certify-rcp searches for one")
     return SequenceDocument(kind, s, d, tuple(members), cert)
 
 

@@ -10,6 +10,7 @@ import pytest
 import blockprod
 from blockprod import (
     CertificateViolationError,
+    DeviationIdentityError,
     NoContractingNormError,
     ParseError,
     ShapeError,
@@ -212,9 +213,10 @@ def test_bad_numbers_are_parse_errors(capsys, tmp_path, command, text):
         (NoContractingNormError("x"), 4, "undecided: x"),
         (ShapeError("x"), 3, "analysis refused: x"),
         (SingularMatrixError(0.0), 3, "analysis refused: matrix singular"),
+        (DeviationIdentityError("x"), 3, "analysis refused: x"),
     ],
     ids=["ParseError", "CertificateViolationError", "NoContractingNormError",
-         "ShapeError", "SingularMatrixError"],
+         "ShapeError", "SingularMatrixError", "DeviationIdentityError"],
 )
 def test_every_library_error_maps_to_an_exit_code(
     capsys, monkeypatch, exc, expected_code, prefix
@@ -279,6 +281,14 @@ class TestNorm:
         path = tmp_path / "big.json"
         path.write_text("[[1.5]]")
         code, out, err = run(capsys, "norm", "--input", str(path), "--kind", "lyapunov")
+        assert code == 4 and out == "" and err.startswith("undecided:")
+
+    @pytest.mark.parametrize("kind", [norm.kind for norm in blockprod.BUILTIN_NORMS])
+    def test_restricted_kind_never_falls_back(self, capsys, tmp_path, kind):
+        # auto certifies this matrix by the Lyapunov fallback
+        path = tmp_path / "m.json"
+        path.write_text('{"matrix": [[0.9, 30], [0, 0.9]]}')
+        code, out, err = run(capsys, "norm", "--input", str(path), "--kind", kind)
         assert code == 4 and out == "" and err.startswith("undecided:")
 
     def test_restricted_kind(self, capsys, tmp_path):

@@ -70,9 +70,11 @@ class TestAsMatrix:
         with pytest.raises(ShapeError):
             as_matrix([[np.inf, 1.0]])
 
-    def test_promotes_scalars_and_vectors(self):
-        assert as_matrix(3.0).shape == (1, 1)
-        assert as_matrix([1.0, 2.0]).shape == (1, 2)
+    def test_refuses_scalars_and_vectors(self):
+        with pytest.raises(ShapeError):
+            as_matrix(3.0)
+        with pytest.raises(ShapeError):
+            as_matrix([1.0, 2.0])
 
 
 class TestSolveRight:
@@ -279,8 +281,10 @@ class TestSteinSolve:
             -np.eye(12),
             scipy.linalg.block_diag(*map(rotation, (0.3, 0.7, 1.0, 2.0, 2.5, 3.0))),
             np.exp(0.7j) * (np.eye(12) + np.eye(12, k=1)),
+            # ||P|| is so large that a norm squaring its entries overflows
+            0.99999999 * (np.eye(12) + 0.3 * np.eye(12, k=1)),
         ],
-        ids=["identity", "minus_identity", "rotations", "unit_jordan"],
+        ids=["identity", "minus_identity", "rotations", "unit_jordan", "huge_scaling"],
     )
     def test_refuses_unit_circle_without_warning(self, c):
         with warnings.catch_warnings():
@@ -345,14 +349,19 @@ class TestSpectralCertificate:
         assert cert.rate == pytest.approx(expected ** (1 / 12))
 
     def test_lyapunov_fallback(self):
-        # badly scaled rotation: spectral radius 0.9 but built-in norms of
-        # low powers all exceed 1, forcing the Lyapunov route
-        rot = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
-        scale = np.diag([1.0, 100.0])
-        c = scale @ (0.9 * rot) @ np.linalg.inv(scale)
-        cert = spectral_certificate(c, k_max=4)
+        # spectral radius 0.9, but ||C^k|| >= 1 in every built-in norm for
+        # every power k <= 64, forcing the Lyapunov route
+        c = np.array([[0.9, 30.0], [0.0, 0.9]])
+        cert = spectral_certificate(c)
         assert cert is not None and cert.kind == "lyapunov"
         assert norm_value(c, cert.norm) <= cert.rate < 1.0
+
+    @pytest.mark.parametrize("norm", BUILTIN_NORMS, ids=lambda k: k.kind)
+    def test_given_norm_is_searched_alone(self, norm):
+        # without the built-in fallback order and the Lyapunov route
+        assert spectral_certificate([[0.9, 30.0], [0.0, 0.9]], norm) is None
+        cert = spectral_certificate(NILPOTENT, norm)
+        assert cert.norm == norm and cert.power == 2 and cert.rate == 0.0
 
     def test_undecided_is_none(self):
         assert spectral_certificate([[1.5]]) is None

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from blockprod import (
     BUILTIN_NORMS,
     BlockUpperTriangular,
+    BlockprodError,
     CertificateViolationError,
     ContractionCertificate,
+    DeviationIdentityError,
     FROBENIUS,
     GelfandCertificate,
     INF_NORM,
@@ -112,6 +116,14 @@ class TestStep:
         for state in [initial_state(1, 1), *run([A_HALF], CERT_HALF)]:
             with pytest.raises(ShapeError):
                 step(state, tall, CERT_HALF)
+
+    def test_corrupted_deviation_raises_typed_error(self):
+        state = run([A_HALF], CERT_HALF)[-1]
+        corrupted = replace(state, d_dev=state.d_dev + 1e-3)
+        with pytest.raises(DeviationIdentityError, match="step 2") as exc:
+            step(corrupted, A_HALF, CERT_HALF)
+        assert isinstance(exc.value, BlockprodError)
+        assert isinstance(exc.value, ArithmeticError)
 
     def test_identity_residual_recorded(self, rng):
         seq = [random_block(rng, 2, 3) for _ in range(30)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockprod import ParseError
+from blockprod import BUILTIN_NORMS, ParseError
 from blockprod.product import TraceRow
 from blockprod.seqfile import (
     TRACE_HEADER,
@@ -36,6 +36,20 @@ class TestParse:
     def test_no_declared_certificate_for_auto(self):
         doc = parse_sequence_text(VALID.replace('"inf", "rate": 0.9', '"auto"'))
         assert doc.certificate is None
+
+    @pytest.mark.parametrize("norm", BUILTIN_NORMS, ids=lambda k: k.kind)
+    def test_every_builtin_norm_name_declares(self, norm):
+        doc = parse_sequence_text(VALID.replace('"inf"', f'"{norm.kind}"'))
+        assert doc.certificate.norm == norm
+
+    def test_set_file_declares_no_certificate(self):
+        # certify-rcp searches for its own certificate
+        with pytest.raises(ParseError, match="a set file declares no certificate"):
+            parse_sequence_text(VALID.replace('"periodic"', '"set"'))
+        searched = VALID.replace('"periodic"', '"set"').replace(
+            '"inf", "rate": 0.9', '"auto"'
+        )
+        assert parse_sequence_text(searched).certificate is None
 
     @pytest.mark.parametrize(
         "mutation",
