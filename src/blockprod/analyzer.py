@@ -82,6 +82,11 @@ class Finite:
         object.__setattr__(self, "members", tuple(self.members))
         _check_conforming(self.members, "finite presentation")
 
+    @property
+    def cycle(self) -> tuple[BlockUpperTriangular, ...]:
+        """The one-member cycle the sequence ends in."""
+        return self.members[-1:]
+
 
 @dataclass
 class Stream:
@@ -174,17 +179,21 @@ def cycle_accumulation_points(
 ) -> list[np.ndarray]:
     """Exact limits of the phase subsequences X_{kp+j} of a periodic product.
 
-    Over one period the top-right block evolves by the affine map
-    x -> x (C_{j+1} ... C_{j+p}) + S_j, the blocks of the period's product
-    A_{j+1} ... A_{j+p}; each phase limit is the map's fixed point, that
-    product's limit candidate.  Every distinct phase limit is returned, in
-    first-seen order; only exact duplicates are dropped.
+    A cycle that repeats a shorter one is read as that one.  The first limit
+    is the fixed point of the period's affine map x -> x (C_1 ... C_p) + S,
+    the limit candidate of A_1 ... A_p; each next one is one step
+    x -> B_j + x C_j from the one before, so the cycle costs one LU solve.
+    Every distinct phase limit is returned, in phase order; only exact
+    duplicates are dropped.
     """
-    points: list[np.ndarray] = []
-    for j in range(len(cycle)):
-        fixed = functools.reduce(block_mul, [*cycle[j:], *cycle[:j]]).limit
-        if not any(np.array_equal(fixed, q) for q in points):
-            points.append(fixed)
+    cycle = list(cycle)
+    p = next(p for p in range(1, len(cycle) + 1) if cycle[p:] + cycle[:p] == cycle)
+    x = functools.reduce(block_mul, cycle[:p]).limit
+    points = [x]
+    for a in cycle[: p - 1]:
+        x = a.b + x @ a.c
+        if not any(np.array_equal(x, q) for q in points):
+            points.append(x)
     return points
 
 
@@ -220,13 +229,21 @@ def _worst_candidate_pair(
     return ls, next(pair for pair, gap in gaps.items() if gap >= worst - 1e-15)
 
 
-def _analyze_periodic(
-    cycle: Sequence[BlockUpperTriangular],
-    cfg: AnalyzerConfig,
-    cert: ContractionCertificate | GelfandCertificate,
+def _analyze_cycle(
+    seq: Periodic | Finite, cfg: AnalyzerConfig, cert: ContractionCertificate | None
 ) -> AnalysisReport:
-    """The Theorem's verdict on a cycle, given a certificate *cert* that
-    contracts its C-blocks."""
+    """The Theorem's verdict on the cycle of *seq* under :func:`analyze`'s
+    certificate rule; a lone C-block's products are its powers."""
+    cycle = seq.cycle
+    if cert is None and all(np.array_equal(a.c, cycle[0].c) for a in cycle):
+        cert = uniform_certificate([cycle[0].c]) or spectral_certificate(cycle[0].c)
+        if cert is None:
+            raise AnalysisRefusedError(
+                "could not certify that the C-block of the cycle has spectral radius < 1"
+            )
+    else:
+        listed = seq.members if isinstance(seq, Finite) else cycle
+        cert = _certificate_for_members(listed, cert)
     ls, pair = _worst_candidate_pair(cycle, cfg.eps)
     if pair is None:
         return AnalysisReport(
@@ -352,35 +369,24 @@ def analyze(
 ) -> AnalysisReport:
     """Decide convergence of the right product presented by *seq*.
 
-    Periodic and Finite presentations get exact (Certified) verdicts: a cycle
-    converges iff its limit candidates all lie within ``cfg.eps`` of each
-    other (Frobenius), so the verdict does not depend on the member the cycle
-    starts at, and a divergence witness lists every distinct phase limit.  A
-    Finite presentation is decided as the one-member cycle of its last
-    member.  Streams get numerical verdicts from running the product engine
-    up to the horizon.  Raises
-    :class:`AnalysisRefusedError` when no contraction certificate can be
-    obtained, :class:`CertificateViolationError` when a given one is
-    contradicted by the data, and :class:`InvalidCertificateError` when a
-    given one is not a :class:`ContractionCertificate` (a Gelfand
-    certificate bounds no single factor).
+    Periodic and Finite presentations share one branch, a Finite being the
+    one-member cycle of its last member.  A given *cert* is checked on every
+    listed member; else the cycle's C-blocks get :func:`uniform_certificate`
+    and, if they are one matrix, :func:`spectral_certificate`.  The verdict
+    is Certified: the cycle converges iff its limit candidates lie within
+    ``cfg.eps`` of each other (Frobenius), whatever member it starts at; a
+    divergence witness lists every distinct phase limit.  Streams get
+    numerical verdicts from the product engine up to the horizon.  Raises
+    :class:`AnalysisRefusedError` when no certificate is obtained,
+    :class:`CertificateViolationError` when the data contradict a given one,
+    and :class:`InvalidCertificateError` when a given one is not a
+    :class:`ContractionCertificate` (a Gelfand certificate bounds no factor).
     """
     cfg = cfg or AnalyzerConfig()
     if cert is not None:
         require_per_factor(cert)
-    if isinstance(seq, Periodic):
-        return _analyze_periodic(
-            seq.cycle, cfg, _certificate_for_members(seq.cycle, cert)
-        )
-    if isinstance(seq, Finite):
-        tail = seq.members[-1:]
-        if cert is not None:
-            cert = _certificate_for_members(seq.members, cert)
-        elif (cert := spectral_certificate(tail[0].c)) is None:
-            raise AnalysisRefusedError(
-                "could not certify contraction of the eventual constant factor"
-            )
-        return _analyze_periodic(tail, cfg, cert)
+    if isinstance(seq, (Periodic, Finite)):
+        return _analyze_cycle(seq, cfg, cert)
     if isinstance(seq, Stream):
         return _analyze_stream(seq, cfg, cert)
     raise TypeError(f"unsupported presentation {type(seq).__name__}")
@@ -398,32 +404,28 @@ def corollary1_analyze(
     On Periodic and Finite presentations the hypothesis holds only if every
     cycle C-block (for Finite, the last member's) equals *c_limit*; otherwise
     this raises :class:`AnalysisRefusedError` (:class:`ShapeError` if the
-    orders differ).  They then get :func:`analyze`'s verdict, certified by
-    the contraction of *c_limit*.  Streams get the streak tests on their
-    B-blocks.  Raises :class:`AnalysisRefusedError` when the spectral radius
-    of *c_limit* cannot be certified below one.
+    orders differ), and else returns :func:`analyze` of *seq*.  Streams get
+    the streak tests on their B-blocks under :func:`spectral_certificate` of
+    *c_limit*, refused when that finds nothing and Inconclusive when the
+    stream runs out.
     """
     cfg = cfg or AnalyzerConfig()
     c_limit = as_matrix(c_limit)
-    tail = None
     if isinstance(seq, (Periodic, Finite)):
-        tail = seq.cycle if isinstance(seq, Periodic) else seq.members[-1:]
-        if tail[0].c.shape != c_limit.shape:
+        if seq.cycle[0].c.shape != c_limit.shape:
             raise ShapeError("the C-blocks do not conform to c_limit")
-        if not all(np.array_equal(a.c, c_limit) for a in tail):
+        if not all(np.array_equal(a.c, c_limit) for a in seq.cycle):
             raise AnalysisRefusedError(
                 "the C-blocks of a periodic or eventually constant sequence "
                 "tend to c_limit only if they equal it"
             )
+        return analyze(seq, cfg)
+
     cert = spectral_certificate(c_limit)
     if cert is None:
         raise AnalysisRefusedError(
             "could not certify that the limit C-block has spectral radius < 1"
         )
-    if tail is not None:
-        return _analyze_periodic(tail, cfg, cert)
-
-    # stream: the streak tests on the B-blocks alone
     detector = _StreakDetector(
         cfg,
         cert,

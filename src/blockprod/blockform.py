@@ -62,10 +62,6 @@ class BlockUpperTriangular:
         return l
 
     @property
-    def d(self) -> int:
-        return self.s + self.c.shape[0]
-
-    @property
     def csize(self) -> int:
         return self.c.shape[0]
 

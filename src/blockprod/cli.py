@@ -64,10 +64,9 @@ def cmd_product(args) -> int:
         raise ParseError("--n must be >= 1")
     cert = _certificate_for_members(doc.members, doc.certificate)
     members = doc.members
-    seq = [
-        members[k % len(members)] if doc.kind == "periodic" else members[min(k, len(members) - 1)]
-        for k in range(args.n)
-    ]
+    if doc.kind == "finite":  # the last member repeats forever
+        members += members[-1:] * (args.n - len(members))
+    seq = [members[k % len(members)] for k in range(args.n)]
     state = initial_state(doc.s, doc.d - doc.s)
     rows = []
     for a in seq:

@@ -39,7 +39,7 @@ __all__ = [
     "trace_row",
 ]
 
-#: numerical slack allowed on the algebraic deviation identity
+#: relative slack allowed on the algebraic deviation identity
 IDENTITY_TOL = 1e-10
 
 
@@ -54,10 +54,10 @@ class ProductState:
     candidate is ``l - y_prev``), and ``bound`` a
     certified upper bound on the deviation in the certificate norm.
     ``identity_residual`` records how well the one-step deviation identity
-    was satisfied numerically.  ``norm_d`` and ``norm_y`` are the norms of
-    ``d_dev`` and ``y_prev`` in the certificate norm the state was stepped
-    under, computed once by :func:`step` (0 for the empty product, and
-    ``norm_y`` 0 while ``y_prev`` is None).
+    was satisfied numerically.  ``norm_x``, ``norm_d`` and ``norm_y`` are
+    the norms of ``x``, ``d_dev`` and ``y_prev`` in the certificate norm the
+    state was stepped under, computed once by :func:`step` (0 for the empty
+    product, and ``norm_y`` 0 while ``y_prev`` is None).
     """
 
     n: int
@@ -68,6 +68,7 @@ class ProductState:
     y_prev: np.ndarray | None
     bound: float
     identity_residual: float = 0.0
+    norm_x: float = 0.0
     norm_d: float = 0.0
     norm_y: float = 0.0
 
@@ -96,14 +97,14 @@ def step(
     against it by :meth:`ContractionCertificate.check`, so a violation
     raises :class:`CertificateViolationError` naming the step.  A factor
     whose B-block does not have the shape of X raises :class:`ShapeError`.
-    The deviation identity D' = (D - Y) C is verified to within
-    ``IDENTITY_TOL`` at every step past the first; a failure raises
-    :class:`DeviationIdentityError`.
+    The deviation identity D' = (D - Y) C is verified at every step past
+    the first, to within ``IDENTITY_TOL`` max(1, ||X_n||, ||X_{n-1}||,
+    ||D_n||); a failure raises :class:`DeviationIdentityError`.
 
     The factor's blocks were validated when it was built, so nothing is
     validated again here: the limit candidate is the factor's cached
-    :attr:`~BlockUpperTriangular.limit`, and ||D_n|| and ||Y_n|| are
-    evaluated once each and kept on the returned state.
+    :attr:`~BlockUpperTriangular.limit`, and ||X_n||, ||D_n|| and ||Y_n||
+    are evaluated once each and kept on the returned state.
     """
     n = state.n + 1
     if a.b.shape != state.x.shape:
@@ -115,6 +116,7 @@ def step(
     gamma = state.gamma @ a.c
     l = a.limit
     d_dev = x - l
+    norm_x = _norm(x, cert.norm)
     norm_d = _norm(d_dev, cert.norm)
     if state.n == 0:
         y, norm_y, bound, residual = None, 0.0, norm_d, 0.0
@@ -123,7 +125,7 @@ def step(
         norm_y = _norm(y, cert.norm)
         bound = (state.bound + norm_y) * cert.rate
         residual = _norm(d_dev - (state.d_dev - y) @ a.c, cert.norm)
-        if residual > IDENTITY_TOL * max(1.0, norm_d):
+        if residual > IDENTITY_TOL * max(1.0, norm_x, state.norm_x, norm_d):
             raise DeviationIdentityError(
                 f"deviation identity violated at step {n}: residual {residual:.3e}"
             )
@@ -136,6 +138,7 @@ def step(
         y_prev=y,
         bound=bound,
         identity_residual=residual,
+        norm_x=norm_x,
         norm_d=norm_d,
         norm_y=norm_y,
     )
@@ -178,7 +181,7 @@ def left_product_step(
     """One left-multiplication: Z' = Z + B Gamma, Gamma' = C Gamma."""
     z, gamma = zstate
     if z.shape != (a.s, a.csize) or gamma.shape != (a.csize, a.csize):
-        raise ValueError("state does not conform to the factor's block split")
+        raise ShapeError("state does not conform to the factor's block split")
     return z + a.b @ gamma, a.c @ gamma
 
 
@@ -195,10 +198,10 @@ class TraceRow(NamedTuple):
 
 def trace_row(state: ProductState, cert: ContractionCertificate) -> TraceRow:
     """The diagnostics of *state*, which must have been stepped under *cert*:
-    norm_Y and norm_D are the norms :func:`step` kept on it."""
+    norm_X, norm_Y and norm_D are the norms :func:`step` kept on it."""
     return TraceRow(
         n=state.n,
-        norm_X=_norm(state.x, cert.norm),
+        norm_X=state.norm_x,
         norm_Y=state.norm_y,
         norm_D=state.norm_d,
         bound=state.bound,

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -18,6 +19,7 @@ from blockprod import (
     Stream,
     Verdict,
     analyze,
+    block_mul,
     certify_rcp,
     corollary1_analyze,
     cycle_accumulation_points,
@@ -27,6 +29,7 @@ from blockprod import (
     spectral_certificate,
     uniform_certificate,
 )
+from blockprod.seqfile import format_report
 from conftest import random_block, random_complex, random_contracting
 
 A_HALF = BlockUpperTriangular(1, [[1.0]], [[0.5]])
@@ -135,11 +138,12 @@ class TestAnalyzePeriodic:
         for _ in range(2):
             assert analyze(converging).verdict is Verdict.CERTIFIED_CONVERGED
         assert len(lu_solves) == 3
-        # a diverging cycle also solves once for each phase's period product
+        # a diverging cycle adds one solve, for the period product's limit;
+        # every other phase limit is an affine step of the one before
         lu_solves.clear()
         diverging = Periodic(tuple(with_candidate(l, 0.5) for l in (2.0, 4.0, 3.0)))
         assert analyze(diverging).verdict is Verdict.CERTIFIED_DIVERGED
-        assert len(lu_solves) == 3 + 3
+        assert len(lu_solves) == 3 + 1
 
     def test_nilpotent_cycle_uses_lyapunov(self):
         a = BlockUpperTriangular(1, [[1.0, 1.0]], NILPOTENT)
@@ -184,8 +188,76 @@ class TestOneCandidateComparison:
             tail = analyze(Periodic((A_HALF,)), cert=cert)
             assert finite.verdict is tail.verdict is Verdict.CERTIFIED_CONVERGED
             assert np.array_equal(finite.limit, tail.limit)
+            assert finite.certificate == tail.certificate
         # a declared certificate is checked on every member and kept
         assert finite.certificate is tail.certificate is declared
+
+
+def gelfand_only_c():
+    """Spectral radius 0.5, but only ||C^50|| < 1 shows it, and the Stein
+    solve finds no contracting norm."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((7, 7)))
+    return q @ (0.5 * np.eye(7) + 10.0 * np.eye(7, k=1)) @ q.T
+
+
+class TestOneCycleRule:
+    @pytest.mark.parametrize(
+        "c,kind",
+        [(gelfand_only_c(), "gelfand"), ([[0.5]], "declared"), (NILPOTENT, "lyapunov")],
+        ids=["gelfand_k50", "half", "nilpotent"],
+    )
+    def test_one_matrix_presentations_agree(self, c, kind):
+        a = BlockUpperTriangular(1, np.ones((1, np.shape(c)[0])), c)
+        reports = [
+            analyze(seq) for seq in (Periodic((a,)), Periodic((a, a)), Finite((a,)))
+        ]
+        for report in reports:
+            assert report.verdict is Verdict.CERTIFIED_CONVERGED
+            assert report.certificate == reports[0].certificate
+            assert np.array_equal(report.limit, reports[0].limit)
+        assert reports[0].certificate.kind == kind
+
+    def test_prefix_is_not_searched(self):
+        # only the tail must contract; a given certificate covers the prefix
+        grow = BlockUpperTriangular(1, [[1.0]], [[1.5]])
+        report = analyze(Finite((grow, A_HALF)))
+        assert report.certificate == analyze(Periodic((A_HALF,))).certificate
+        with pytest.raises(CertificateViolationError):
+            analyze(Finite((grow, A_HALF)), cert=ContractionCertificate(INF_NORM, 0.5))
+
+    def test_distinct_c_blocks_get_no_single_matrix_fallback(self):
+        # each C-block alone has spectral radius 0.5; their product does not
+        c1 = np.array([[0.5, 4.0], [0.0, 0.5]])
+        cycle = Periodic(
+            tuple(BlockUpperTriangular(1, [[1.0, 1.0]], c) for c in (c1, c1.T))
+        )
+        assert np.abs(np.linalg.eigvals(c1 @ c1.T)).max() > 1
+        with pytest.raises(AnalysisRefusedError, match="no uniform contraction"):
+            analyze(cycle)
+
+
+class TestPresentationShapes:
+    @pytest.mark.parametrize(
+        "build", [Periodic, Finite, certify_rcp], ids=["periodic", "finite", "set"]
+    )
+    def test_empty_refused(self, build):
+        with pytest.raises(ShapeError, match="nonempty"):
+            build(())
+
+    @pytest.mark.parametrize(
+        "build", [Periodic, Finite, certify_rcp], ids=["periodic", "finite", "set"]
+    )
+    @pytest.mark.parametrize(
+        "other",
+        [
+            BlockUpperTriangular(2, [[1.0], [2.0]], [[0.5]]),
+            BlockUpperTriangular(1, [[1.0, 1.0]], [[0.5, 0.0], [0.0, 0.5]]),
+        ],
+        ids=["other_s", "other_m"],
+    )
+    def test_mixed_split_refused(self, build, other):
+        with pytest.raises(ShapeError, match="same"):
+            build((A_HALF, other))
 
 
 class TestAnalyzeStream:
@@ -304,10 +376,7 @@ class TestCorollary1:
         assert closest(report.witness.points, 10 / 3) < 1e-12
 
     def test_gelfand_only_limit_certifies_cycle(self):
-        # spectral radius 0.5, but only ||C^50|| < 1 shows it, and the Stein
-        # solve that analyze() relies on fails
-        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((7, 7)))
-        c = q @ (0.5 * np.eye(7) + 10.0 * np.eye(7, k=1)) @ q.T
+        c = gelfand_only_c()
         a = BlockUpperTriangular(1, np.ones((1, 7)), c)
         report = corollary1_analyze(Periodic((a,)), c)
         assert report.verdict is Verdict.CERTIFIED_CONVERGED
@@ -316,6 +385,18 @@ class TestCorollary1:
     def test_mixed_split_stream_raises(self):
         with pytest.raises(ShapeError):
             corollary1_analyze(mixed_split_stream(), [[0.5]])
+
+    def test_exhausted_stream_inconclusive(self):
+        report = corollary1_analyze(Stream(iter([A_HALF, A_TWO])), [[0.5]])
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.certificate == spectral_certificate([[0.5]])
+
+    def test_cycles_are_analyze(self):
+        for seq in (Periodic((A_HALF, A_TWO)), Finite((A_TWO, A_HALF))):
+            report, direct = corollary1_analyze(seq, [[0.5]]), analyze(seq)
+            assert report.verdict is direct.verdict
+            assert report.certificate == direct.certificate
+            assert format_report(report) == format_report(direct)
 
     def test_stream_refuses_c_blocks_other_than_the_limit(self):
         # the B-blocks settle at once, but with C = 0.5 the product tends to
@@ -334,7 +415,7 @@ class TestCorollary1:
     def test_finite_uses_the_limit_certificate(self):
         report = corollary1_analyze(Finite((A_TWO, A_HALF)), [[0.5]])
         assert report.verdict is Verdict.CERTIFIED_CONVERGED
-        assert report.certificate == spectral_certificate([[0.5]])
+        assert report.certificate == analyze(Finite((A_TWO, A_HALF))).certificate
         assert np.array_equal(report.limit, analyze(Finite((A_TWO, A_HALF))).limit)
         grow = BlockUpperTriangular(1, [[1.0]], [[1.5]])
         with pytest.raises(AnalysisRefusedError, match="spectral radius"):
@@ -407,6 +488,24 @@ class TestCycleAccumulationPoints:
         q = BlockUpperTriangular(1, [[1.0 + 5e-11]], [[0.9]])
         assert len(cycle_accumulation_points([p, q])) == 2
         assert len(cycle_accumulation_points([p, p, p])) == 1
+
+    def test_repeated_cycle_is_its_shortest_period(self, rng):
+        a, b = random_block(rng, 2, 3), random_block(rng, 2, 3)
+        assert len(cycle_accumulation_points([a, a, a, a])) == 1
+        points = cycle_accumulation_points([a, b, a, b])
+        assert len(points) == 2
+        for p, q in zip(points, cycle_accumulation_points([a, b])):
+            assert np.array_equal(p, q)
+
+    def test_one_solve_per_call(self, rng, lu_solves):
+        cycle = [random_block(rng, 2, 3) for _ in range(4)]
+        points = cycle_accumulation_points(cycle)
+        assert len(lu_solves) == 1 and len(points) == 4
+        # phase j's limit is the fixed point of the period started at member j
+        for j, point in enumerate(points):
+            rotated = [*cycle[j:], *cycle[:j]]
+            fixed = functools.reduce(block_mul, rotated)
+            assert np.abs(point - fixed.b - point @ fixed.c).max() < 1e-12
 
     def test_convergent_cycle_single_point(self):
         points = cycle_accumulation_points([A_HALF, A_QUARTER])

@@ -105,6 +105,36 @@ class TestProduct:
         assert code == 2 and out == "" and err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("b", ["1e6", "1e8"])
+def test_large_b_passes_the_deviation_identity(capsys, tmp_path, b):
+    # once refused at step 40 (b = 1e6) and 35 (b = 1e8): the identity's
+    # tolerance shrank with ||D_n|| while its rounding grows with ||X||
+    path = tmp_path / "large_b.json"
+    path.write_text(
+        '{"kind": "periodic", "s": 1, "d": 2,'
+        f' "matrices": [{{"B": [[{b}]], "C": [[0.5]]}}], "norm": "inf", "rate": 0.5}}'
+    )
+    code, out, err = run(capsys, "product", "--input", str(path), "--n", "60")
+    assert code == 0 and err == ""
+    assert "dense cross-check: OK (|diff| <= 1e-11)" in out.splitlines()
+
+
+def test_product_n_below_one_is_parse_error(capsys):
+    code, out, err = run(
+        capsys, "product", "--input", str(FIXTURES / "constant.json"), "--n", "0"
+    )
+    assert code == 2 and out == "" and err == "parse error: --n must be >= 1\n"
+
+
+def test_declared_rate_outside_unit_interval_is_refused(capsys, tmp_path):
+    path = tmp_path / "rate.json"
+    path.write_text(
+        (FIXTURES / "constant.json").read_text().replace('"rate": 0.5', '"rate": 1.5')
+    )
+    code, out, err = run(capsys, "analyze", "--input", str(path))
+    assert code == 3 and out == "" and err.startswith("analysis refused: rate 1.5")
+
+
 def test_product_factors_each_member_once(capsys, tmp_path, lu_solves):
     rng = np.random.default_rng(4)
     members = []
@@ -138,6 +168,20 @@ class TestAnalyze:
         )
         code, out, err = run(capsys, "analyze", "--input", str(path))
         assert code == 3 and out == "" and "refused" in err
+
+
+    @pytest.mark.parametrize("c", [[[0.5]], [[0, 2], [0, 0]]], ids=["half", "nilpotent"])
+    def test_one_member_periodic_and_finite_print_the_same(self, capsys, tmp_path, c):
+        outs = []
+        for kind in ("periodic", "finite"):
+            member = {"B": [[1] * len(c)], "C": c}
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps({"kind": kind, "s": 1, "d": 1 + len(c),
+                                        "matrices": [member]}))
+            code, out, _ = run(capsys, "analyze", "--input", str(path))
+            assert code == 0 and out.startswith("verdict: CertifiedConverged")
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 class TestCertifyRcp:

@@ -12,6 +12,7 @@ from blockprod import (
     FROBENIUS,
     GelfandCertificate,
     INF_NORM,
+    InvalidCertificateError,
     MatrixNorm,
     NoContractingNormError,
     ONE_NORM,
@@ -324,6 +325,19 @@ class TestCertificateTypes:
     def test_refuses_misuse(self, build, error):
         with pytest.raises(error):
             build()
+
+    @pytest.mark.parametrize("rate", [1.0, -0.1, float("nan")])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rate: ContractionCertificate(INF_NORM, rate),
+            lambda rate: GelfandCertificate(INF_NORM, rate, 2),
+        ],
+        ids=["contraction", "gelfand"],
+    )
+    def test_rate_outside_unit_interval_refused(self, build, rate):
+        with pytest.raises(InvalidCertificateError, match="not in"):
+            build(rate)
 
 
 class TestSpectralCertificate:

@@ -125,6 +125,15 @@ class TestStep:
         assert isinstance(exc.value, BlockprodError)
         assert isinstance(exc.value, ArithmeticError)
 
+    @pytest.mark.parametrize("b", [1e6, 1e8])
+    def test_identity_tolerance_scales_with_x(self, b):
+        # D_n tends to 0 while the rounding of X_n - L_n grows with ||X||;
+        # a tolerance scaled by ||D_n|| alone refused step 40 (b = 1e6)
+        a = BlockUpperTriangular(1, [[b]], [[0.5]])
+        last = run([a] * 60, CERT_HALF)[-1]
+        assert last.norm_x == pytest.approx(2 * b)
+        assert last.identity_residual <= 1e-10 * last.norm_x
+
     def test_identity_residual_recorded(self, rng):
         seq = [random_block(rng, 2, 3) for _ in range(30)]
         for state in run(seq, CERT_09):
@@ -286,6 +295,11 @@ class TestLeftProduct:
         z, gamma = left_product_step(left_product_init(2, 2), a)
         assert np.array_equal(z, a.b)
         assert np.array_equal(gamma, a.c)
+
+    @pytest.mark.parametrize("s,m", [(2, 1), (1, 2)])
+    def test_nonconforming_state_is_shape_error(self, s, m):
+        with pytest.raises(ShapeError, match="block split"):
+            left_product_step(left_product_init(s, m), A_HALF)
 
     def test_constant_geometric_series(self):
         state = left_product_init(1, 1)
