@@ -23,12 +23,11 @@ import numpy as np
 from .blockform import BlockUpperTriangular, block_mul
 from .errors import AnalysisRefusedError, NoContractingNormError, ShapeError
 from .matrixcore import (
-    BUILTIN_NORMS,
     ContractionCertificate,
     GelfandCertificate,
-    _stein_certificate,
+    _certificate_search,
     as_matrix,
-    norm_value,
+    norm_value,  # noqa: F401  (not called here; perfbench/tracing.py patches it)
     require_per_factor,
     spectral_certificate,
 )
@@ -154,22 +153,10 @@ def _limit_dense(l: np.ndarray) -> np.ndarray:
 
 
 def uniform_certificate(cs: Sequence[np.ndarray]) -> ContractionCertificate | None:
-    """A single norm contracting every matrix in *cs*, or None.
-
-    Tries the built-in norms first (rate = the largest member norm), then a
-    common Lyapunov scaling P - sum_i C_i* P C_i = I over the distinct
-    members, whose solution, when positive definite, contracts every member
-    simultaneously.
-    """
-    cs = list({(c.shape, c.tobytes()): c for c in map(as_matrix, cs)}.values())
-    if not cs:
-        raise ValueError("need at least one matrix")
-    for norm in BUILTIN_NORMS:
-        r = max(norm_value(c, norm) for c in cs)
-        if r < 1.0:
-            return ContractionCertificate(norm, r, "declared")
+    """A single norm contracting every matrix in *cs*, or None: the search
+    without powers (the built-in norms, then a common Lyapunov scaling)."""
     try:
-        return _stein_certificate(cs)
+        return _certificate_search(cs)
     except NoContractingNormError:
         return None
 
@@ -200,18 +187,20 @@ def cycle_accumulation_points(
 def _certificate_for_members(
     members: Sequence[BlockUpperTriangular],
     cert: ContractionCertificate | None,
-) -> ContractionCertificate:
-    """Check a given certificate against every member, or find one."""
+    powers: bool = False,
+) -> ContractionCertificate | GelfandCertificate:
+    """Check a given certificate against every member, or search the C-blocks
+    for one, with powers of a lone distinct C-block if *powers* is set."""
     if cert is not None:
         for i, a in enumerate(members, start=1):
             cert.check(a, i)
         return cert
-    found = uniform_certificate([a.c for a in members])
-    if found is None:
+    try:
+        return _certificate_search([a.c for a in members], powers=powers)
+    except NoContractingNormError as exc:
         raise AnalysisRefusedError(
-            "no uniform contraction certificate found for the presentation"
-        )
-    return found
+            f"no uniform contraction certificate found for the presentation: {exc}"
+        ) from None
 
 
 def _worst_candidate_pair(
@@ -235,15 +224,9 @@ def _analyze_cycle(
     """The Theorem's verdict on the cycle of *seq* under :func:`analyze`'s
     certificate rule; a lone C-block's products are its powers."""
     cycle = seq.cycle
-    if cert is None and all(np.array_equal(a.c, cycle[0].c) for a in cycle):
-        cert = uniform_certificate([cycle[0].c]) or spectral_certificate(cycle[0].c)
-        if cert is None:
-            raise AnalysisRefusedError(
-                "could not certify that the C-block of the cycle has spectral radius < 1"
-            )
-    else:
-        listed = seq.members if isinstance(seq, Finite) else cycle
-        cert = _certificate_for_members(listed, cert)
+    # a given certificate must hold on every listed member; a search covers the cycle
+    listed = seq.members if cert is not None and isinstance(seq, Finite) else cycle
+    cert = _certificate_for_members(listed, cert, powers=True)
     ls, pair = _worst_candidate_pair(cycle, cfg.eps)
     if pair is None:
         return AnalysisReport(
@@ -371,16 +354,18 @@ def analyze(
 
     Periodic and Finite presentations share one branch, a Finite being the
     one-member cycle of its last member.  A given *cert* is checked on every
-    listed member; else the cycle's C-blocks get :func:`uniform_certificate`
-    and, if they are one matrix, :func:`spectral_certificate`.  The verdict
-    is Certified: the cycle converges iff its limit candidates lie within
-    ``cfg.eps`` of each other (Frobenius), whatever member it starts at; a
-    divergence witness lists every distinct phase limit.  Streams get
-    numerical verdicts from the product engine up to the horizon.  Raises
-    :class:`AnalysisRefusedError` when no certificate is obtained,
-    :class:`CertificateViolationError` when the data contradict a given one,
-    and :class:`InvalidCertificateError` when a given one is not a
-    :class:`ContractionCertificate` (a Gelfand certificate bounds no factor).
+    listed member.  Else the cycle's C-blocks are searched in the order of
+    :func:`spectral_certificate`: the built-in norms, then powers up to 64
+    if the cycle has one distinct C-block, then a common Lyapunov scaling.
+    The verdict is Certified: the cycle converges iff its limit candidates
+    lie within ``cfg.eps`` of each other (Frobenius), whatever member it
+    starts at; a divergence witness lists every distinct phase limit.
+    Streams get numerical verdicts from the product engine up to the
+    horizon.  Raises :class:`AnalysisRefusedError` when no certificate is
+    obtained, :class:`CertificateViolationError` when the data contradict a
+    given one, and :class:`InvalidCertificateError` when a given one is not
+    a :class:`ContractionCertificate` (a Gelfand certificate bounds no
+    factor).
     """
     cfg = cfg or AnalyzerConfig()
     if cert is not None:

@@ -32,7 +32,7 @@ class CertificateViolationError(BlockprodError):
 
     def __init__(self, step: int, value: float, rate: float):
         super().__init__(
-            f"step {step}: ||C|| = {value:.6g} exceeds declared rate {rate:.6g}"
+            f"step {step}: ||C|| = {value:.17g} exceeds declared rate {rate:.17g}"
         )
         self.step = step
         self.value = value

@@ -282,14 +282,10 @@ def _stein_certificate(cs: list[np.ndarray]) -> ContractionCertificate:
 
 
 def lyapunov_scaling(c) -> MatrixNorm:
-    """Construct a norm under which *c* is a strict contraction.
-
-    Solves the Stein equation P - C* P C = I by the Bartels-Stewart
-    recurrence on the complex Schur form of c, in O(m^3) time and O(m^2)
-    memory, and returns the Lyapunov-scaled norm built from P.  Succeeds
-    exactly when the spectral radius of c is below one; otherwise raises
-    :class:`NoContractingNormError`.
-    """
+    """The Lyapunov-scaled norm of the solution P of P - C* P C = I, under
+    which *c* is a strict contraction (by :func:`_stein_schur`, in O(m^3)
+    time).  Succeeds exactly when the spectral radius of c is below one;
+    otherwise raises :class:`NoContractingNormError`."""
     c = as_matrix(c)
     if c.shape[1] != c.shape[0]:
         raise ShapeError("matrix must be square")
@@ -305,7 +301,8 @@ def _check_rate(rate: float) -> None:
 class ContractionCertificate:
     """Witness that ``norm_value(C, norm) <= rate < 1`` for every factor's
     C-block: ``"declared"`` (given, or found among the built-in norms) or
-    ``"lyapunov"`` (a Stein-equation scaling)."""
+    ``"lyapunov"`` (a Stein-equation scaling).  A found certificate's rate is
+    the largest member norm itself, so it passes its own check."""
 
     norm: MatrixNorm
     rate: float
@@ -318,10 +315,10 @@ class ContractionCertificate:
 
     def check(self, a: BlockUpperTriangular, step: int) -> None:
         """Check the C-block of factor *a*, validated when *a* was built,
-        against this certificate; a C-block whose norm exceeds the rate
-        raises :class:`CertificateViolationError` naming *step*."""
+        against this certificate; a C-block whose norm exceeds the rate by
+        any amount raises :class:`CertificateViolationError` naming *step*."""
         val = _norm(a.c, self.norm)
-        if val > self.rate * (1 + 1e-12) + 1e-15:
+        if val > self.rate:
             raise CertificateViolationError(step, val, self.rate)
 
     def describe(self) -> str:
@@ -331,8 +328,9 @@ class ContractionCertificate:
 @dataclass(frozen=True)
 class GelfandCertificate:
     """Witness that ``||C^power|| <= rate^power`` for one matrix C, so its
-    spectral radius is at most rate < 1.  It bounds no factor in one norm,
-    so :func:`require_per_factor` refuses it."""
+    spectral radius is at most rate < 1.  The search gives it for even
+    powers only; a contracting C is a declared certificate.  It bounds no
+    factor in one norm, so :func:`require_per_factor` refuses it."""
 
     norm: MatrixNorm
     rate: float
@@ -363,40 +361,56 @@ def require_per_factor(cert) -> ContractionCertificate:
     )
 
 
-#: the highest power of C that :func:`spectral_certificate` evaluates
+#: the highest power of a lone matrix that :func:`_certificate_search` evaluates
 _GELFAND_MAX_POWER = 64
+
+
+def _certificate_search(
+    cs, norm: MatrixNorm | None = None, powers: bool = False
+) -> ContractionCertificate | GelfandCertificate:
+    """The one certificate search, over the distinct matrices of *cs*, in
+    this order: each norm (the given *norm*, else :data:`BUILTIN_NORMS`) on
+    every matrix, whose largest value below 1 is a ``"declared"`` rate; with
+    *powers* and one distinct matrix C, ||C^k|| < 1 for k = 2, 4, ..., 64 in
+    the same norms, a :class:`GelfandCertificate`; with no given *norm*, a
+    common Stein scaling, ``"lyapunov"``.  Raises
+    :class:`NoContractingNormError` with the last attempt's reason."""
+    # + 0 turns -0.0 into 0.0, so matrices that compare equal are one
+    cs = list({(c.shape, (c + 0).tobytes()): c for c in map(as_matrix, cs)}.values())
+    if not cs:
+        raise ValueError("need at least one matrix")
+    n = cs[0].shape[0]
+    if any(c.shape != (n, n) for c in cs):
+        raise ShapeError("matrices must be square and of one order")
+    norms = BUILTIN_NORMS if norm is None else (norm,)
+    for candidate in norms:
+        rate = max(_norm(c, candidate) for c in cs)
+        if rate < 1.0:
+            return ContractionCertificate(candidate, rate, "declared")
+    if powers and len(cs) == 1:
+        power = c2 = cs[0] @ cs[0]
+        k = 2
+        while k <= _GELFAND_MAX_POWER and np.isfinite(power).all():
+            for candidate in norms:
+                val = _norm(power, candidate)
+                if val < 1.0:
+                    return GelfandCertificate(candidate, float(val ** (1.0 / k)), k)
+            power, k = power @ c2, k + 2
+    if norm is not None:
+        raise NoContractingNormError(f"no {norm.kind} norm below 1 was found")
+    return _stein_certificate(cs)
 
 
 def spectral_certificate(
     c, norm: MatrixNorm | None = None
 ) -> GelfandCertificate | ContractionCertificate | None:
-    """Certify that the spectral radius of *c* is below one.
-
-    Searches powers k = 1, 2, 4, 6, ... up to 64 for ||C^k|| < 1 in *norm*,
-    giving a :class:`GelfandCertificate` with rate ||C^k||^(1/k).  A given
-    *norm* is searched alone.  With none, the built-in norms are searched,
-    and then a Lyapunov :class:`ContractionCertificate` is tried.  Returns
-    None when undecided; None is *not* a proof that the spectral radius is
-    >= 1.
+    """Certify that the spectral radius of *c* is below one by the search
+    with powers: a contracting norm of C (``"declared"``), else of a power
+    C^k, k = 2, 4, ..., 64 (``"gelfand"``), else a Lyapunov scaling.  A
+    given *norm* is searched alone, with no Lyapunov step.  Returns None
+    when undecided, which is *not* a proof that the spectral radius is >= 1.
     """
-    c = as_matrix(c)
-    if c.shape[0] != c.shape[1]:
-        raise ShapeError("matrix must be square")
-    norms = BUILTIN_NORMS if norm is None else (norm,)
-    power, k = c, 1
-    while k <= _GELFAND_MAX_POWER and np.isfinite(power).all():
-        for candidate in norms:
-            val = norm_value(power, candidate)
-            if val < 1.0:
-                return GelfandCertificate(candidate, float(val ** (1.0 / k)), k)
-        if k == 1:
-            c2 = c @ c
-            power, k = c2, 2
-        else:
-            power, k = power @ c2, k + 2
-    if norm is not None:
-        return None
     try:
-        return _stein_certificate([c])
+        return _certificate_search([c], norm, powers=True)
     except NoContractingNormError:
         return None

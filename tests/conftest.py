@@ -25,6 +25,13 @@ def random_block(rng, s, m, bscale=1.0, cnorm=0.9):
     )
 
 
+def gelfand_only_c():
+    """Spectral radius 0.5, but only ||C^50|| < 1 shows it, and the Stein
+    solve finds no contracting norm."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((7, 7)))
+    return q @ (0.5 * np.eye(7) + 10.0 * np.eye(7, k=1)) @ q.T
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230817)
@@ -45,4 +52,22 @@ def lu_solves(monkeypatch):
 
     monkeypatch.setattr(matrixcore, "_solve_right", counted)
     monkeypatch.setattr(blockform, "_solve_right", counted)
+    return calls
+
+
+@pytest.fixture
+def stein_solves(monkeypatch):
+    """The Stein solves made while the test runs: "schur" for one matrix,
+    "assembled" for a set."""
+    from blockprod import matrixcore
+
+    calls = []
+    for name, label in (("_stein_schur", "schur"), ("_stein_assembled", "assembled")):
+        original = getattr(matrixcore, name)
+
+        def counted(arg, original=original, label=label):
+            calls.append(label)
+            return original(arg)
+
+        monkeypatch.setattr(matrixcore, name, counted)
     return calls

@@ -12,6 +12,7 @@ from blockprod import (
     CertificateViolationError,
     ContractionCertificate,
     Finite,
+    GelfandCertificate,
     INF_NORM,
     InvalidCertificateError,
     Periodic,
@@ -30,7 +31,7 @@ from blockprod import (
     uniform_certificate,
 )
 from blockprod.seqfile import format_report
-from conftest import random_block, random_complex, random_contracting
+from conftest import gelfand_only_c, random_block, random_complex, random_contracting
 
 A_HALF = BlockUpperTriangular(1, [[1.0]], [[0.5]])
 A_TWO = BlockUpperTriangular(1, [[2.0]], [[0.5]])
@@ -107,7 +108,7 @@ class TestAnalyzePeriodic:
         # second, whose C-block expands: X_40 is about -6649, not 2
         a2 = BlockUpperTriangular(1, [[-4.0]], [[3.0]])
         with pytest.raises(InvalidCertificateError):
-            analyze(Periodic((A_HALF, a2)), cert=spectral_certificate(A_HALF.c))
+            analyze(Periodic((A_HALF, a2)), cert=GelfandCertificate(INF_NORM, 0.5, 2))
 
     def test_verdict_independent_of_starting_member(self):
         # candidates 2 and 2 +- 0.9e-10: each lies within eps = 1e-10 of 2,
@@ -145,11 +146,11 @@ class TestAnalyzePeriodic:
         assert analyze(diverging).verdict is Verdict.CERTIFIED_DIVERGED
         assert len(lu_solves) == 3 + 1
 
-    def test_nilpotent_cycle_uses_lyapunov(self):
+    def test_nilpotent_cycle_uses_gelfand(self):
         a = BlockUpperTriangular(1, [[1.0, 1.0]], NILPOTENT)
         report = analyze(Periodic((a,)))
         assert report.verdict is Verdict.CERTIFIED_CONVERGED
-        assert report.certificate.kind == "lyapunov"
+        assert report.certificate.kind == "gelfand"
         assert np.abs(report.limit[0, 1:] - [1.0, 3.0]).max() < 1e-12
 
 
@@ -193,17 +194,10 @@ class TestOneCandidateComparison:
         assert finite.certificate is tail.certificate is declared
 
 
-def gelfand_only_c():
-    """Spectral radius 0.5, but only ||C^50|| < 1 shows it, and the Stein
-    solve finds no contracting norm."""
-    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((7, 7)))
-    return q @ (0.5 * np.eye(7) + 10.0 * np.eye(7, k=1)) @ q.T
-
-
 class TestOneCycleRule:
     @pytest.mark.parametrize(
         "c,kind",
-        [(gelfand_only_c(), "gelfand"), ([[0.5]], "declared"), (NILPOTENT, "lyapunov")],
+        [(gelfand_only_c(), "gelfand"), ([[0.5]], "declared"), (NILPOTENT, "gelfand")],
         ids=["gelfand_k50", "half", "nilpotent"],
     )
     def test_one_matrix_presentations_agree(self, c, kind):
@@ -234,6 +228,78 @@ class TestOneCycleRule:
         assert np.abs(np.linalg.eigvals(c1 @ c1.T)).max() > 1
         with pytest.raises(AnalysisRefusedError, match="no uniform contraction"):
             analyze(cycle)
+
+
+@st.composite
+def square_matrices(draw, max_order=4):
+    """Real or complex C of order m <= 4: dense, nilpotent (strictly upper
+    triangular), or Jordan-like (lambda I plus a scaled shift), each rotated
+    by a random orthogonal Q, with entries of modulus up to about 10."""
+    m = draw(st.integers(1, max_order))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["dense", "nilpotent", "jordan"]))
+    scale = draw(st.sampled_from([0.1, 0.5, 0.9, 1.0, 2.0, 10.0]))
+    if shape == "dense":
+        c = scale * random_complex(rng, m, m) / m
+    elif shape == "nilpotent":
+        c = scale * np.triu(rng.standard_normal((m, m)), 1)
+    else:
+        lam = draw(st.sampled_from([0.0, 0.3, -0.6, 0.95j, 1.0]))
+        c = lam * np.eye(m) + scale * np.eye(m, k=1)
+    if draw(st.booleans()):
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        c = q @ c @ q.T
+    return c
+
+
+class TestCertificateSearch:
+    """Every caller makes the one search: built-in norms, then powers of a
+    lone matrix, then Stein."""
+
+    @pytest.mark.parametrize(
+        "c,solves",
+        [(gelfand_only_c(), 0), (NILPOTENT, 0), ([[1.5]], 1)],
+        ids=["gelfand_only", "nilpotent", "expanding"],
+    )
+    def test_stein_solves_per_one_matrix_cycle(self, stein_solves, c, solves):
+        a = BlockUpperTriangular(1, np.ones((1, np.shape(c)[0])), c)
+        try:
+            analyze(Periodic((a,)))
+        except AnalysisRefusedError:
+            assert solves == 1
+        assert stein_solves == ["schur"] * solves
+
+    def test_distinct_cycle_makes_one_assembled_solve(self, stein_solves):
+        cs = (NILPOTENT, 0.5 * NILPOTENT, 0.1 * NILPOTENT.T)
+        cycle = Periodic(tuple(BlockUpperTriangular(1, [[1.0, 1.0]], c) for c in cs))
+        assert analyze(cycle).certificate.kind == "lyapunov"
+        assert stein_solves == ["assembled"]
+
+    def test_refusal_names_the_set_cap(self):
+        m = 49
+        c = 0.5 * np.eye(m) + 0.9 * np.eye(m, k=1)
+        members = [BlockUpperTriangular(1, np.ones((1, m)), x) for x in (c, c.T)]
+        with pytest.raises(
+            AnalysisRefusedError,
+            match="^no uniform contraction certificate found for the presentation: "
+            ".*sets are solved up to m = 48",
+        ):
+            certify_rcp(members)
+
+    def test_declared_k1_is_accepted_per_factor(self):
+        cert = spectral_certificate([[0.5]])
+        report = analyze(Stream(iter([A_HALF, A_TWO])), cert=cert)
+        assert report.verdict is Verdict.INCONCLUSIVE
+
+    @settings(max_examples=80, deadline=None)
+    @given(c=square_matrices())
+    def test_spectral_certificate_is_the_cycle_certificate(self, c):
+        a = BlockUpperTriangular(1, np.ones((1, c.shape[0])), c)
+        try:
+            found = analyze(Periodic((a,))).certificate
+        except AnalysisRefusedError:
+            found = None
+        assert spectral_certificate(c) == found
 
 
 class TestPresentationShapes:
@@ -296,7 +362,7 @@ class TestAnalyzeStream:
 
     def test_gelfand_certificate_refused_on_empty_stream(self):
         with pytest.raises(InvalidCertificateError):
-            analyze(Stream(iter([])), cert=spectral_certificate([[0.5]]))
+            analyze(Stream(iter([])), cert=GelfandCertificate(INF_NORM, 0.5, 2))
 
     def test_exhausted_stream_inconclusive(self):
         report = analyze(Stream(iter([A_HALF, A_TWO])), cert=self.CERT)
@@ -550,10 +616,11 @@ class TestCertifyRcp:
         rot = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
         c = np.diag([1.0, 100.0]) @ (0.9 * rot) @ np.diag([1.0, 0.01])
         a = BlockUpperTriangular(1, [[1.0, 2.0]], c)
-        single = analyze(Periodic((a,)))
-        assert single.certificate.kind == "lyapunov"
-        assert analyze(Periodic((a, a))).certificate == single.certificate
+        single = uniform_certificate([c])
+        assert single.kind == "lyapunov"
+        assert uniform_certificate([c, c]) == single
         assert certify_rcp([a, a]).is_rcp
+        assert certify_rcp([a, a]).certificate == single
 
     def test_common_lyapunov_norm_route(self):
         a1 = BlockUpperTriangular(1, [[1.0, 1.0]], NILPOTENT)

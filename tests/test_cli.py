@@ -19,6 +19,7 @@ from blockprod import (
 from blockprod import cli
 from blockprod.cli import main
 from blockprod.seqfile import TRACE_HEADER
+from conftest import gelfand_only_c
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -182,6 +183,45 @@ class TestAnalyze:
             assert code == 0 and out.startswith("verdict: CertifiedConverged")
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+    def test_declared_rate_below_a_c_block_norm_is_violated(self, capsys, tmp_path):
+        # |C| = 1 + 5e-13 once passed the rate 1 - 1e-13 and was certified
+        # convergent with the limit -1.9998e12, although X_n grows without bound
+        path = tmp_path / "over.json"
+        path.write_text(
+            '{"kind": "periodic", "s": 1, "d": 2,'
+            ' "matrices": [{"B": [[1]], "C": [[1.0000000000005]]}],'
+            ' "norm": "inf", "rate": 0.9999999999999}'
+        )
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert code == 3 and out == ""
+        assert err == (
+            "certificate violated: step 1: ||C|| = 1.0000000000005 exceeds "
+            "declared rate 0.99999999999989997\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "c",
+    [[[0, 2], [0, 0]], [[0.5]], gelfand_only_c().tolist()],
+    ids=["nilpotent", "half", "gelfand_only"],
+)
+def test_norm_and_one_member_analyze_print_one_certificate(capsys, tmp_path, c):
+    matrix = tmp_path / "c.json"
+    matrix.write_text(json.dumps({"matrix": c}))
+    code, out, _ = run(capsys, "norm", "--input", str(matrix), "--kind", "auto")
+    assert code == 0
+    lines = {out.splitlines()[0]}
+    for kind in ("periodic", "finite"):
+        path = tmp_path / f"{kind}.json"
+        member = {"B": [[1] * len(c)], "C": c}
+        path.write_text(json.dumps({"kind": kind, "s": 1, "d": 1 + len(c),
+                                    "matrices": [member]}))
+        code, out, _ = run(capsys, "analyze", "--input", str(path))
+        assert code == 0
+        lines.add(out.splitlines()[1])
+    assert len(lines) == 1 and lines.pop().startswith("certificate: ")
 
 
 class TestCertifyRcp:

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from blockprod import (
     BUILTIN_NORMS,
+    BlockUpperTriangular,
+    CertificateViolationError,
     ContractionCertificate,
     FROBENIUS,
     GelfandCertificate,
@@ -28,6 +30,7 @@ from blockprod import (
 )
 from blockprod.matrixcore import (
     _STEIN_SET_MAX_ORDER,
+    _certificate_search,
     _stein_assembled,
     _stein_certificate,
     _stein_schur,
@@ -309,6 +312,38 @@ class TestSteinSolve:
         assert peak < 4e6
 
 
+class TestCertificateSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(cs=stein_members(), powers=st.booleans())
+    def test_found_contraction_passes_its_own_check(self, cs, powers):
+        cert = _certificate_search(cs, powers=powers)
+        if isinstance(cert, ContractionCertificate):
+            for i, c in enumerate(cs, start=1):
+                cert.check(BlockUpperTriangular(1, np.ones((1, len(c))), c), i)
+
+    def test_check_has_no_slack(self):
+        cert = ContractionCertificate(INF_NORM, 0.9999999999999)
+        above = BlockUpperTriangular(1, [[1.0]], [[np.nextafter(cert.rate, 1.0)]])
+        with pytest.raises(CertificateViolationError) as info:
+            cert.check(above, 3)
+        # the values differ in the last digit, so all 17 are printed
+        assert str(info.value) == (
+            "step 3: ||C|| = 0.99999999999990008 exceeds declared rate "
+            "0.99999999999989997"
+        )
+
+    def test_matrices_equal_up_to_signed_zeros_are_one(self):
+        signed = NILPOTENT.copy()
+        signed[1, 0] = -0.0
+        cert = _certificate_search([NILPOTENT, signed], powers=True)
+        assert cert == GelfandCertificate(INF_NORM, 0.0, 2)
+
+    @pytest.mark.parametrize("norm", [None, INF_NORM], ids=["auto", "inf"])
+    def test_contracting_matrix_is_declared(self, norm):
+        cert = spectral_certificate([[0.5]], norm)
+        assert cert == ContractionCertificate(INF_NORM, 0.5, "declared")
+
+
 class TestCertificateTypes:
     @pytest.mark.parametrize(
         "build,error",
@@ -343,7 +378,7 @@ class TestCertificateTypes:
 class TestSpectralCertificate:
     def test_zero(self):
         cert = spectral_certificate(np.zeros((2, 2)))
-        assert cert.kind == "gelfand" and cert.power == 1 and cert.rate == 0.0
+        assert cert.kind == "declared" and cert.rate == 0.0
 
     def test_nilpotent(self):
         cert = spectral_certificate(NILPOTENT)
