@@ -23,15 +23,17 @@ import numpy as np
 from .blockform import BlockUpperTriangular, block_mul
 from .errors import AnalysisRefusedError, NoContractingNormError, ShapeError
 from .matrixcore import (
+    FROBENIUS,
     ContractionCertificate,
     GelfandCertificate,
     _certificate_search,
+    _norms,
     as_matrix,
     norm_value,  # noqa: F401  (not called here; perfbench/tracing.py patches it)
     require_per_factor,
     spectral_certificate,
 )
-from .product import TraceRow, initial_state, step, trace_row
+from .product import TraceRow, _advance, _chunk_length, initial_state, step, trace_row
 
 __all__ = [
     "Periodic",
@@ -262,61 +264,101 @@ def _stream_factors(
         yield a
 
 
+def _stream_chunks(
+    factors: Iterable[BlockUpperTriangular], horizon: int
+) -> Iterator[list[BlockUpperTriangular]]:
+    """The factors of :func:`_stream_factors` in chunks of the step
+    engine's length for their C-block order.  When reading raises inside a
+    chunk, the factors read before are yielded first, so a consumer that
+    reaches a verdict among them never sees the exception."""
+    chunk: list[BlockUpperTriangular] = []
+    try:
+        for a in _stream_factors(factors, horizon):
+            chunk.append(a)
+            if len(chunk) == _chunk_length(a.csize):
+                yield chunk
+                chunk = []
+    except Exception:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
+def _frobenius(st: np.ndarray) -> list[float]:
+    return _norms(st, FROBENIUS).tolist()
+
+
 @dataclass
 class _StreakDetector:
     """Numerical verdicts on a stream of values v_1, v_2, ... that converge
     exactly when the product does.
 
-    ``update`` takes the next value v_n and its step gap, the norm of
-    v_n - v_{n-1} that the caller has already evaluated (None for v_1), and
-    returns a report once a test fires: |v_n| leaves the ball of radius
-    1/eps (diverged); 20 consecutive gaps are below eps (converged); 20
-    consecutive values return near v_{n-2} while far from v_{n-1}
-    (diverged, with two accumulation points).  *candidate* maps a value to
-    its limit candidate.
+    ``update`` takes the next values, a stack, and their step gaps, the
+    norms of v_n - v_{n-1} (by default Frobenius), and returns the index of
+    the first value at which a test fires with its report: |v_n| leaves the
+    ball of radius 1/eps (diverged); 20 consecutive gaps are below eps
+    (converged); 20 consecutive values return near v_{n-2} while far from
+    v_{n-1} (diverged, with two accumulation points).  Every distance is
+    evaluated for the whole stack in one call, and the two latest values
+    are carried to the next stack.  *candidate* maps a value to its limit
+    candidate.
     """
 
     cfg: AnalyzerConfig
     cert: ContractionCertificate | GelfandCertificate
     what: str
     candidate: Callable[[np.ndarray], np.ndarray]
-    last: list[np.ndarray] = field(default_factory=list)  # the latest three
+    last: list[np.ndarray] = field(default_factory=list)  # the latest two
     small_streak: int = 0
     osc_streak: int = 0
 
-    def update(self, v: np.ndarray, gap: float | None) -> AnalysisReport | None:
+    def update(
+        self, values: np.ndarray, gaps: Sequence[float] | None = None
+    ) -> tuple[int, AnalysisReport] | None:
+        if not len(values):
+            return None
         eps = self.cfg.eps
-        if float(np.linalg.norm(v)) > 1.0 / eps:
-            return AnalysisReport(
-                verdict=Verdict.DIVERGED_NUMERICALLY,
-                certificate=self.cert,
-                witness=Witness(f"{self.what} left the ball of radius 1/eps"),
-            )
-        last = self.last = self.last[-2:] + [v]
-        if len(last) < 2:
-            return None
-        small = gap < eps
-        self.small_streak = self.small_streak + 1 if small else 0
-        if self.small_streak >= _STREAK_WINDOW:
-            return AnalysisReport(
-                verdict=Verdict.CONVERGED_NUMERICALLY,
-                limit=_limit_dense(self.candidate(v)),
-                certificate=self.cert,
-            )
-        if len(last) < 3:
-            return None
-        near_two_back = np.linalg.norm(v - last[0]) < eps
-        far_one_back = np.linalg.norm(v - last[1]) > 100 * eps
-        self.osc_streak = self.osc_streak + 1 if near_two_back and far_one_back else 0
-        if self.osc_streak >= _STREAK_WINDOW:
-            return AnalysisReport(
-                verdict=Verdict.DIVERGED_NUMERICALLY,
-                certificate=self.cert,
-                witness=Witness(
-                    f"two persistent accumulation points of the {self.what}",
-                    (self.candidate(last[1]), self.candidate(last[2])),
-                ),
-            )
+        before = len(self.last)
+        # seen[before + i] is values[i], seen[:before] the carried values
+        seen = np.concatenate([v[None] for v in self.last] + [values])
+        seen.flags.writeable = False
+        sizes = _frobenius(values)
+        back1 = _frobenius(seen[1:] - seen[:-1]) if len(seen) > 1 else []
+        back2 = _frobenius(seen[2:] - seen[:-2]) if len(seen) > 2 else []
+        self.last = list(seen[-2:])
+        for i, j in enumerate(range(before, len(seen))):
+            if sizes[i] > 1.0 / eps:
+                return i, AnalysisReport(
+                    verdict=Verdict.DIVERGED_NUMERICALLY,
+                    certificate=self.cert,
+                    witness=Witness(f"{self.what} left the ball of radius 1/eps"),
+                )
+            if j < 1:
+                continue
+            gap = back1[j - 1] if gaps is None else gaps[i]
+            self.small_streak = self.small_streak + 1 if gap < eps else 0
+            if self.small_streak >= _STREAK_WINDOW:
+                return i, AnalysisReport(
+                    verdict=Verdict.CONVERGED_NUMERICALLY,
+                    limit=_limit_dense(self.candidate(seen[j])),
+                    certificate=self.cert,
+                )
+            if j < 2:
+                continue
+            near_two_back = back2[j - 2] < eps
+            far_one_back = back1[j - 1] > 100 * eps
+            self.osc_streak = self.osc_streak + 1 if near_two_back and far_one_back else 0
+            if self.osc_streak >= _STREAK_WINDOW:
+                return i, AnalysisReport(
+                    verdict=Verdict.DIVERGED_NUMERICALLY,
+                    certificate=self.cert,
+                    witness=Witness(
+                        f"two persistent accumulation points of the {self.what}",
+                        (self.candidate(seen[j - 1]), self.candidate(seen[j])),
+                    ),
+                )
         return None
 
 
@@ -331,15 +373,24 @@ def _analyze_stream(
     detector = _StreakDetector(cfg, cert, "limit candidate", lambda l: l)
     state = None
     trace: list[TraceRow] = []
-    for a in _stream_factors(seq.factors, cfg.horizon):
+    for chunk in _stream_chunks(seq.factors, cfg.horizon):
         if state is None:
-            state = initial_state(a.s, a.csize)
-        state = step(state, a, cert)
-        trace.append(trace_row(state, cert))
-        report = detector.update(state.l, state.norm_y)
-        if report is not None:
+            state = initial_state(chunk[0].s, chunk[0].csize)
+        done = _advance(state, chunk, cert, traced=True)
+        fired = detector.update(done.ls, [st.norm_y for st in done.states])
+        taken = len(done.states) if fired is None else fired[0] + 1
+        # one public step per factor, which returns the state the chunk
+        # computed: perfbench/tracing.py's self-test counts step and
+        # trace_row calls on a stream
+        for a in chunk[:taken]:
+            state = step(state, a, cert)
+            trace.append(trace_row(state, cert))
+        if fired is not None:
+            report = fired[1]
             bound = state.bound if report.limit is not None else None
             return replace(report, trace=tuple(trace), deviation_bound=bound)
+        if done.error is not None:
+            raise done.error
     return AnalysisReport(
         verdict=Verdict.INCONCLUSIVE, certificate=cert, trace=tuple(trace)
     )
@@ -417,18 +468,20 @@ def corollary1_analyze(
         "B-blocks",
         lambda b: BlockUpperTriangular(b.shape[0], b, c_limit).limit,
     )
-    prev = None
-    for n, a in enumerate(_stream_factors(seq.factors, cfg.horizon), start=1):
-        gap = None if prev is None else float(np.linalg.norm(a.b - prev))
-        prev = a.b
-        report = detector.update(a.b, gap)
-        if report is None:
+    read = 0
+    for chunk in _stream_chunks(seq.factors, cfg.horizon):
+        fired = detector.update(np.array([a.b for a in chunk]))
+        if fired is None:
+            read += len(chunk)
             continue
+        i, report = fired
+        a = chunk[i]
         if a.c.shape != c_limit.shape:
             raise ShapeError("the C-blocks do not conform to c_limit")
         if np.linalg.norm(a.c - c_limit) > cfg.eps:
             raise AnalysisRefusedError(
-                f"the C-block of stream factor {n} is farther than eps from c_limit"
+                f"the C-block of stream factor {read + i + 1} is farther than "
+                "eps from c_limit"
             )
         return report
     return AnalysisReport(verdict=Verdict.INCONCLUSIVE, certificate=cert)

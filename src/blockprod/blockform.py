@@ -3,21 +3,53 @@ structural operations."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError
-from .matrixcore import _solve_right, as_matrix
+from .errors import ShapeError, SingularMatrixError
+from .matrixcore import _solve_right_each, _stack, as_matrix
 
 __all__ = ["BlockUpperTriangular", "block_mul"]
 
 
 def _read_only_copy(data) -> np.ndarray:
-    m = as_matrix(data).copy()
+    # one C-ordered copy; as_matrix takes it as it is, and checks it
+    m = as_matrix(np.array(data, dtype=np.complex128, order="C"))
     m.flags.writeable = False
     return m
+
+
+def _limits(
+    factors: Sequence[BlockUpperTriangular],
+) -> tuple[list[np.ndarray], SingularMatrixError | None]:
+    """The :attr:`~BlockUpperTriangular.limit` of each of the conforming
+    *factors* in order, up to the first whose I - C is singular to working
+    precision, and that factor's :class:`SingularMatrixError` (None when
+    there is none).
+
+    The distinct factors not solved before get one LU factorization each,
+    with the pivot rule checked over all of them in one call, and keep
+    their results, so a factor that recurs is factored once.
+    """
+    todo = [a for a in {id(a): a for a in factors}.values() if "_limit" not in vars(a)]
+    singular = None
+    if todo:
+        eye = np.eye(todo[0].csize, dtype=np.complex128)
+        ls, singular = _solve_right_each(
+            [a.b for a in todo], eye - _stack([a.c for a in todo])
+        )
+        for a, l in zip(todo, ls):
+            l.flags.writeable = False
+            vars(a)["_limit"] = l
+    out = []
+    for a in factors:
+        l = vars(a).get("_limit")
+        if l is None:  # the first singular factor
+            return out, singular
+        out.append(l)
+    return out, None
 
 
 @dataclass(frozen=True)
@@ -48,18 +80,21 @@ class BlockUpperTriangular:
                 f"got {self.b.shape[0]}x{self.b.shape[1]}"
             )
 
-    @functools.cached_property
+    @property
     def limit(self) -> np.ndarray:
         """The limit candidate B (I - C)^{-1}, read-only.
 
-        Computed by one LU factorization of I - C on first use and kept, so a
-        factor that recurs in a product is factored once.  Raises
+        The one-factor case of the engine's limit routine: one LU
+        factorization of I - C on first use, kept on the factor, so a factor
+        that recurs in a product is factored once, whether it was first
+        solved here or in a chunk of the step engine.  Raises
         :class:`SingularMatrixError` when I - C is singular to working
         precision.
         """
-        l = _solve_right(self.b, np.eye(self.csize, dtype=np.complex128) - self.c)
-        l.flags.writeable = False
-        return l
+        ls, singular = _limits((self,))
+        if singular is not None:
+            raise singular
+        return ls[0]
 
     @property
     def csize(self) -> int:

@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
 )
 from .matrixcore import BUILTIN_NORMS, lyapunov_scaling, norm_value, spectral_certificate
-from .product import dense_partial_product, initial_state, step, trace_row
+from .product import _advance, _chunk_length, dense_partial_product, initial_state, trace_row
 from .seqfile import (
     SequenceDocument,
     fmt_float,
@@ -69,10 +69,14 @@ def cmd_product(args) -> int:
     seq = [members[k % len(members)] for k in range(args.n)]
     state = initial_state(doc.s, doc.d - doc.s)
     rows = []
-    for a in seq:
-        state = step(state, a, cert)
+    size = _chunk_length(doc.d - doc.s)
+    for i in range(0, len(seq), size):
+        done = _advance(state, seq[i : i + size], cert)
         if args.trace:
-            rows.append(trace_row(state, cert))
+            rows += [trace_row(st, cert) for st in done.states]
+        if done.error is not None:
+            raise done.error
+        state = done.states[-1]
     dense = dense_partial_product(seq, args.n)
     diff = max(
         float(np.abs(dense[: doc.s, doc.s :] - state.x).max()),

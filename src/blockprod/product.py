@@ -14,14 +14,21 @@ propagated alongside the product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blockform import BlockUpperTriangular
-from .errors import DeviationIdentityError, ShapeError
-from .matrixcore import ContractionCertificate, _norm, require_per_factor
+from .blockform import BlockUpperTriangular, _limits
+from .errors import BlockprodError, DeviationIdentityError, ShapeError
+from .matrixcore import (
+    ContractionCertificate,
+    _norm,
+    _norms,
+    _stack,
+    require_per_factor,
+)
 
 # not called here: perfbench/tracing.py patches norm_value in every blockprod
 # module that binds it, and its self-test expects this module to be one
@@ -71,6 +78,14 @@ class ProductState:
     norm_x: float = 0.0
     norm_d: float = 0.0
     norm_y: float = 0.0
+    #: the step :func:`_advance` took from this state, as (factor,
+    #: certificate, weak reference to the next state), for :func:`step`
+    _next: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: (norm, ||gamma||) when a traced :func:`_advance` evaluated it, for
+    #: :func:`trace_row`
+    _norm_gamma: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def initial_state(s: int, csize: int) -> ProductState:
@@ -87,61 +102,162 @@ def initial_state(s: int, csize: int) -> ProductState:
     )
 
 
+#: the engine takes at most 20 factors at once (the streak window of
+#: :func:`~blockprod.analyzer.analyze`), so a stream is read at most 19
+#: factors past the step where a verdict fires ...
+_CHUNK_FACTORS = 20
+#: ... and about 4096 C-block entries: at m = 32, chunks of 20 factors were
+#: slower than single steps and chunks of 4 faster
+_CHUNK_ENTRIES = 4096
+
+
+def _chunk_length(m: int) -> int:
+    """How many factors of C-block order *m* the engine takes at once: 20 up
+    to m = 14, 4 at m = 32, and 1 from m = 46."""
+    return max(1, min(_CHUNK_FACTORS, _CHUNK_ENTRIES // (m * m)))
+
+
+class _Steps(NamedTuple):
+    """What :func:`_advance` did with a chunk: the state after each step it
+    took, those steps' limit candidates L_n as one read-only stack, and the
+    failure at the step after them, or None when it took every step."""
+
+    states: list[ProductState]
+    ls: np.ndarray
+    error: BlockprodError | None
+
+
+def _advance(
+    state: ProductState,
+    factors: Sequence[BlockUpperTriangular],
+    cert: ContractionCertificate,
+    traced: bool = False,
+) -> _Steps:
+    """Append the conforming factors of one chunk to the partial product,
+    with every check of :func:`step` on every factor.
+
+    Only X_n and Gamma_n are stepped one factor at a time.  The member
+    check, the limit candidates, D_n, Y_n, the identity residuals and the
+    norms of X_n, D_n, Y_n and the residuals take one stacked call each for
+    the chunk.  Each stacked value is bit-identical to the one-matrix call,
+    because every matrix in a stack is C-contiguous, as the arrays of a
+    single step are.  A failing check ends the chunk at its step, in the
+    order shape, certificate, limit, identity within a step.  The failure
+    is returned, not raised, so that a caller can first use the steps
+    before it.  *state* and each state taken keep a weak reference to their
+    successor, which :func:`step` returns while it is alive.  With *traced*,
+    ||Gamma_n|| is evaluated in the same pass and kept for
+    :func:`trace_row`.
+    """
+    n0, k = state.n, len(factors)
+    error: BlockprodError | None = None
+    for i, a in enumerate(factors):
+        if a.b.shape != state.x.shape:
+            k, error = i, ShapeError(
+                f"factor {n0 + i + 1} has (s, m) = {a.b.shape}; "
+                f"the product has {state.x.shape}"
+            )
+            break
+    if k:
+        cert = require_per_factor(cert)
+        cs = _stack([a.c for a in factors[:k]])
+        violation = cert._violation(cs, n0 + 1)
+        if violation is not None:
+            k, error = violation.step - n0 - 1, violation
+        ls, singular = _limits(factors[:k])
+        if singular is not None:
+            k, error = len(ls), singular
+    if not k:
+        return _Steps([], np.empty((0, *state.x.shape), dtype=np.complex128), error)
+
+    l = _stack(ls)
+    l.flags.writeable = False
+    # X_n, D_n = X_n - L_n, Y_n = L_n - L_{n-1} and the identity residual
+    # D_n - (D_{n-1} - Y_n) C_n, in one buffer for one norm call
+    quantities = np.empty((4, k, *state.x.shape), dtype=np.complex128)
+    xs, d, y, residual = quantities
+    x, gamma, gammas = state.x, state.gamma, []
+    for i, a in enumerate(factors[:k]):
+        x = np.add(a.b, x @ a.c, out=xs[i])
+        gamma = gamma @ a.c
+        gammas.append(gamma)
+    np.subtract(xs, l, out=d)
+    np.subtract(l[0], state.l, out=y[0])
+    np.subtract(l[1:], l[:-1], out=y[1:])
+    np.subtract(state.d_dev, y[0], out=residual[0])
+    np.subtract(d[:-1], y[1:], out=residual[1:])
+    np.subtract(d, residual @ cs[:k], out=residual)
+    norms = _norms(quantities.reshape(4 * k, *x.shape), cert.norm).reshape(4, k)
+    norm_x, norm_d, norm_y, norm_r = norms.tolist()
+    norm_gamma = _norms(_stack(gammas), cert.norm).tolist() if traced else None
+
+    states, prev = [], state
+    for i in range(k):
+        n = n0 + i + 1
+        if n == 1:  # no Y_1, and no identity to check
+            y_prev, norm_y[i], norm_r[i], bound = None, 0.0, 0.0, norm_d[i]
+        elif norm_r[i] > IDENTITY_TOL * max(1.0, norm_x[i], prev.norm_x, norm_d[i]):
+            error = DeviationIdentityError(
+                f"deviation identity violated at step {n}: residual {norm_r[i]:.3e}"
+            )
+            break
+        else:
+            y_prev, bound = y[i], (prev.bound + norm_y[i]) * cert.rate
+        new = ProductState(
+            n=n,
+            x=xs[i],
+            gamma=gammas[i],
+            l=ls[i],
+            d_dev=d[i],
+            y_prev=y_prev,
+            bound=bound,
+            identity_residual=norm_r[i],
+            norm_x=norm_x[i],
+            norm_d=norm_d[i],
+            norm_y=norm_y[i],
+        )
+        if norm_gamma is not None:
+            object.__setattr__(new, "_norm_gamma", (cert.norm, norm_gamma[i]))
+        object.__setattr__(prev, "_next", (factors[i], cert, weakref.ref(new)))
+        states.append(new)
+        prev = new
+    return _Steps(states, l[: len(states)], error)
+
+
 def step(
     state: ProductState, a: BlockUpperTriangular, cert: ContractionCertificate
 ) -> ProductState:
-    """Append one factor to the partial product.
+    """Append one factor to the partial product: the step engine on a chunk
+    of one factor.  When the engine already stepped *state* by *a* under
+    *cert*, in a chunk or in an earlier call, and that state is still
+    alive, it is returned.
 
     A certificate that is not a :class:`ContractionCertificate` raises
     :class:`InvalidCertificateError`.  The factor's C-block is checked
     against it by :meth:`ContractionCertificate.check`, so a violation
     raises :class:`CertificateViolationError` naming the step.  A factor
-    whose B-block does not have the shape of X raises :class:`ShapeError`.
-    The deviation identity D' = (D - Y) C is verified at every step past
-    the first, to within ``IDENTITY_TOL`` max(1, ||X_n||, ||X_{n-1}||,
-    ||D_n||); a failure raises :class:`DeviationIdentityError`.
+    whose B-block does not have the shape of X raises :class:`ShapeError`,
+    and one whose I - C is singular :class:`SingularMatrixError`.  The
+    deviation identity D' = (D - Y) C is verified at every step past the
+    first, to within ``IDENTITY_TOL`` max(1, ||X_n||, ||X_{n-1}||, ||D_n||);
+    a failure raises :class:`DeviationIdentityError`.
 
     The factor's blocks were validated when it was built, so nothing is
     validated again here: the limit candidate is the factor's cached
     :attr:`~BlockUpperTriangular.limit`, and ||X_n||, ||D_n|| and ||Y_n||
-    are evaluated once each and kept on the returned state.
+    are evaluated once each and kept on the returned state.  ``analyze`` on
+    a stream and the CLI's ``product`` run the same engine on chunks of up
+    to 20 factors, with bit-identical states.
     """
-    n = state.n + 1
-    if a.b.shape != state.x.shape:
-        raise ShapeError(
-            f"factor {n} has (s, m) = {a.b.shape}; the product has {state.x.shape}"
-        )
-    require_per_factor(cert).check(a, n)
-    x = a.b + state.x @ a.c
-    gamma = state.gamma @ a.c
-    l = a.limit
-    d_dev = x - l
-    norm_x = _norm(x, cert.norm)
-    norm_d = _norm(d_dev, cert.norm)
-    if state.n == 0:
-        y, norm_y, bound, residual = None, 0.0, norm_d, 0.0
-    else:
-        y = l - state.l
-        norm_y = _norm(y, cert.norm)
-        bound = (state.bound + norm_y) * cert.rate
-        residual = _norm(d_dev - (state.d_dev - y) @ a.c, cert.norm)
-        if residual > IDENTITY_TOL * max(1.0, norm_x, state.norm_x, norm_d):
-            raise DeviationIdentityError(
-                f"deviation identity violated at step {n}: residual {residual:.3e}"
-            )
-    return ProductState(
-        n=n,
-        x=x,
-        gamma=gamma,
-        l=l,
-        d_dev=d_dev,
-        y_prev=y,
-        bound=bound,
-        identity_residual=residual,
-        norm_x=norm_x,
-        norm_d=norm_d,
-        norm_y=norm_y,
-    )
+    ahead = state._next
+    if ahead is not None and ahead[0] is a and ahead[1] is cert:
+        new = ahead[2]()
+        if new is not None:
+            return new
+    done = _advance(state, (a,), cert)
+    if done.error is not None:
+        raise done.error
+    return done.states[0]
 
 
 def explicit_sum(seq: Sequence[BlockUpperTriangular], n: int) -> np.ndarray:
@@ -198,12 +314,19 @@ class TraceRow(NamedTuple):
 
 def trace_row(state: ProductState, cert: ContractionCertificate) -> TraceRow:
     """The diagnostics of *state*, which must have been stepped under *cert*:
-    norm_X, norm_Y and norm_D are the norms :func:`step` kept on it."""
+    norm_X, norm_Y and norm_D are the norms :func:`step` kept on it, and
+    norm_gamma is evaluated here unless the traced chunk that computed
+    *state* evaluated it under the same norm."""
+    kept = state._norm_gamma
+    if kept is not None and kept[0] is cert.norm:
+        norm_gamma = kept[1]
+    else:
+        norm_gamma = _norm(state.gamma, cert.norm)
     return TraceRow(
         n=state.n,
         norm_X=state.norm_x,
         norm_Y=state.norm_y,
         norm_D=state.norm_d,
         bound=state.bound,
-        norm_gamma=_norm(state.gamma, cert.norm),
+        norm_gamma=norm_gamma,
     )

@@ -44,14 +44,14 @@ def lu_solves(monkeypatch):
     from blockprod import blockform, matrixcore
 
     calls = []
-    original = matrixcore._solve_right
+    original = matrixcore._solve_right_each
 
-    def counted(b, m):
-        calls.append(m.shape[0])
-        return original(b, m)
+    def counted(bs, ms):
+        calls.extend(m.shape[0] for m in ms)
+        return original(bs, ms)
 
-    monkeypatch.setattr(matrixcore, "_solve_right", counted)
-    monkeypatch.setattr(blockform, "_solve_right", counted)
+    monkeypatch.setattr(matrixcore, "_solve_right_each", counted)
+    monkeypatch.setattr(blockform, "_solve_right_each", counted)
     return calls
 
 

@@ -50,6 +50,27 @@ class TestOwnership:
         assert a.limit is a.limit
         assert a.limit[0, 0] == 2.0
 
+    def test_blocks_are_c_ordered_copies(self):
+        # one copy, in the layout the step engine's stacks have
+        c = np.asfortranarray(0.1 * np.eye(3) + 0.01j)
+        b = [[1, 2, 3]]
+        a = BlockUpperTriangular(1, b, c)
+        assert a.c.flags.c_contiguous and a.b.flags.c_contiguous
+        assert a.c is not c and np.array_equal(a.c, c)
+        assert a.b.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "b, c, message",
+        [
+            ([1.0], [[0.5]], "expected a matrix, got ndim=1"),
+            ([[np.inf]], [[0.5]], "matrix entries must be finite"),
+            ([[1.0]], [[[0.5]]], "expected a matrix, got ndim=3"),
+        ],
+    )
+    def test_invalid_blocks_keep_their_messages(self, b, c, message):
+        with pytest.raises(ShapeError, match=message):
+            BlockUpperTriangular(1, b, c)
+
 
 class TestBlockMul:
     def test_zero(self):

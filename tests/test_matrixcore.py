@@ -31,6 +31,9 @@ from blockprod import (
 from blockprod.matrixcore import (
     _STEIN_SET_MAX_ORDER,
     _certificate_search,
+    _norm,
+    _norms,
+    _solve_right_each,
     _stein_assembled,
     _stein_certificate,
     _stein_schur,
@@ -113,6 +116,49 @@ class TestSolveRight:
             solve_right([[1.0]], random_complex(rng, 2, 3))
         with pytest.raises(ShapeError):
             solve_right([[1.0, 2.0, 3.0]], np.eye(2))
+
+
+class TestSolveRightEach:
+    def test_stops_at_the_first_singular_matrix(self, rng):
+        ms = [random_complex(rng, 3, 3) + 4 * np.eye(3) for _ in range(4)]
+        ms[2] = np.ones((3, 3), dtype=np.complex128)
+        bs = [random_complex(rng, 2, 3) for _ in range(4)]
+        xs, singular = _solve_right_each(bs, ms)
+        assert len(xs) == 2
+        for x, b, m in zip(xs, bs, ms):
+            assert np.array_equal(x, solve_right(b, m))
+        with pytest.raises(SingularMatrixError) as exc:
+            solve_right(bs[2], ms[2])
+        assert singular.pivot == exc.value.pivot
+
+    def test_all_regular(self, rng):
+        ms = [random_complex(rng, 2, 2) + 3 * np.eye(2) for _ in range(3)]
+        xs, singular = _solve_right_each([np.eye(2)] * 3, np.array(ms))
+        assert singular is None and len(xs) == 3
+
+
+@st.composite
+def matrix_stacks(draw):
+    k = draw(st.integers(1, 20))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-8, 8, (k, 1, 1))
+    return (rng.standard_normal((k, rows, cols)) + 1j * rng.standard_normal((k, rows, cols))) * scale
+
+
+class TestStackedNorms:
+    @settings(max_examples=60, deadline=None)
+    @given(st_=matrix_stacks())
+    def test_bit_identical_to_one_matrix(self, st_):
+        # the step engine relies on this for bit-identical traces
+        for kind in BUILTIN_NORMS:
+            got = _norms(st_, kind).tolist()
+            assert got == [_norm(m, kind) for m in st_]
+
+    def test_lyapunov(self, rng):
+        norm = lyapunov_scaling(0.5 * random_complex(rng, 3, 3) / 3)
+        st_ = np.array([random_complex(rng, 2, 3) for _ in range(4)])
+        assert _norms(st_, norm).tolist() == [_norm(m, norm) for m in st_]
 
 
 class TestNormValue:
