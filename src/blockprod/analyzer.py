@@ -33,7 +33,14 @@ from .matrixcore import (
     require_per_factor,
     spectral_certificate,
 )
-from .product import TraceRow, _advance, _chunk_length, initial_state, step, trace_row
+from .product import (
+    TraceRow,
+    _advance,
+    _chunk_length,
+    initial_state,
+    step,
+    trace_row,
+)
 
 __all__ = [
     "Periodic",
@@ -349,7 +356,8 @@ class _StreakDetector:
                 continue
             near_two_back = back2[j - 2] < eps
             far_one_back = back1[j - 1] > 100 * eps
-            self.osc_streak = self.osc_streak + 1 if near_two_back and far_one_back else 0
+            oscillating = near_two_back and far_one_back
+            self.osc_streak = self.osc_streak + 1 if oscillating else 0
             if self.osc_streak >= _STREAK_WINDOW:
                 return i, AnalysisReport(
                     verdict=Verdict.DIVERGED_NUMERICALLY,
@@ -412,10 +420,14 @@ def analyze(
     lie within ``cfg.eps`` of each other (Frobenius), whatever member it
     starts at; a divergence witness lists every distinct phase limit.
     Streams get numerical verdicts from the product engine up to the
-    horizon.  Raises :class:`AnalysisRefusedError` when no certificate is
-    obtained, :class:`CertificateViolationError` when the data contradict a
-    given one, and :class:`InvalidCertificateError` when a given one is not
-    a :class:`ContractionCertificate` (a Gelfand certificate bounds no
+    horizon, fed in chunks of up to 20 factors, so a stream may be read up
+    to 19 factors past the step where a verdict fires (never past the
+    horizon).  A failure at a later step of that chunk, raised by a check
+    or by the stream itself, is then not raised.  Raises
+    :class:`AnalysisRefusedError` when no certificate is obtained,
+    :class:`CertificateViolationError` when the data contradict a given
+    one, and :class:`InvalidCertificateError` when a given one is not a
+    :class:`ContractionCertificate` (a Gelfand certificate bounds no
     factor).
     """
     cfg = cfg or AnalyzerConfig()

@@ -29,7 +29,13 @@ from .errors import (
     ParseError,
 )
 from .matrixcore import BUILTIN_NORMS, lyapunov_scaling, norm_value, spectral_certificate
-from .product import _advance, _chunk_length, dense_partial_product, initial_state, trace_row
+from .product import (
+    _advance,
+    _chunk_length,
+    dense_partial_product,
+    initial_state,
+    trace_row,
+)
 from .seqfile import (
     SequenceDocument,
     fmt_float,
@@ -71,7 +77,7 @@ def cmd_product(args) -> int:
     rows = []
     size = _chunk_length(doc.d - doc.s)
     for i in range(0, len(seq), size):
-        done = _advance(state, seq[i : i + size], cert)
+        done = _advance(state, seq[i : i + size], cert, traced=bool(args.trace))
         if args.trace:
             rows += [trace_row(st, cert) for st in done.states]
         if done.error is not None:

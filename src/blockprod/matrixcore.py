@@ -5,8 +5,9 @@ Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The helpers
 here enforce the invariants (2-D, finite entries) at construction points; all
 operations are pure.  The public :func:`norm_value` and :func:`solve_right`
 validate their inputs and then call the private ``_norm`` and
-``_solve_right``, which the step engine calls directly on matrices that were
-validated when their factor was built.
+``_solve_right``.  The step engine calls their stacked forms, ``_norms`` and
+``_solve_right_each``, directly on matrices that were validated when their
+factor was built.
 """
 
 from __future__ import annotations
@@ -362,7 +363,9 @@ class ContractionCertificate:
         if violation is not None:
             raise violation
 
-    def _violation(self, cs: np.ndarray, first: int) -> CertificateViolationError | None:
+    def _violation(
+        self, cs: np.ndarray, first: int
+    ) -> CertificateViolationError | None:
         """The violation of :meth:`check` by the first C-block of the stack
         *cs*, the C-blocks of steps *first*, *first* + 1, ..., whose norm
         exceeds the rate, or None."""

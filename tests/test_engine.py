@@ -30,7 +30,7 @@ from blockprod import (
     trace_row,
 )
 from blockprod.product import IDENTITY_TOL, TraceRow, _advance, _chunk_length
-from conftest import random_complex
+from conftest import random_block, random_complex
 
 A_HALF = BlockUpperTriangular(1, [[1.0]], [[0.5]])
 #: ||C|| = 1 - 2e-15 <= the rate of RATE_NEAR_ONE, but I - C is singular to
@@ -126,10 +126,12 @@ def engine_cases(draw):
         for _ in range(80):
             c = random_complex(rng, m, m)
             cs.append(c * (rate * rng.uniform(0.2, 1.0) / norm_value(c, norm)))
-    cert = ContractionCertificate(norm, rate, kind if kind == "lyapunov" else "declared")
+    kind = "lyapunov" if kind == "lyapunov" else "declared"
+    cert = ContractionCertificate(norm, rate, kind)
     # a repeated member now and then, as in a periodic product
     seq = [BlockUpperTriangular(s, random_complex(rng, s, m), c) for c in cs]
-    seq = [seq[i // 3] if i % 5 == 0 else seq[i] for i in range(draw(st.integers(1, 80)))]
+    length = draw(st.integers(1, 80))
+    seq = [seq[i // 3] if i % 5 == 0 else seq[i] for i in range(length)]
     fault = draw(st.sampled_from(["none", "violation", "shape", "singular", "corrupt"]))
     at = draw(st.integers(0, len(seq) - 1))
     if fault == "violation":
@@ -213,8 +215,27 @@ class TestChunkFailures:
         done = _advance(initial_state(1, 1), seq, RATE_NEAR_ONE)
         assert len(done.states) == 2
         assert str(done.error).startswith("step 3:")
-        done = _advance(initial_state(1, 1), [A_HALF, SINGULAR, violating], RATE_NEAR_ONE)
+        seq = [A_HALF, SINGULAR, violating]
+        done = _advance(initial_state(1, 1), seq, RATE_NEAR_ONE)
         assert len(done.states) == 1 and isinstance(done.error, SingularMatrixError)
+
+    def test_identity_violation_inside_a_chunk(self, rng):
+        # a wrong limit candidate kept on factor 6 breaks D_6 = (D_5 - Y_6) C_6
+        seq = [random_block(rng, 2, 3) for _ in range(10)]
+        vars(seq[5])["_limit"] = seq[5].limit + 1e-3
+        cert = ContractionCertificate(INF_NORM, 0.9)
+        for first in (0, 3):
+            state = initial_state(2, 3)
+            for a in seq[:first]:
+                state = step(state, a, cert)
+            done = _advance(state, seq[first:], cert)
+            assert len(done.states) == 5 - first
+            assert isinstance(done.error, DeviationIdentityError)
+            assert "at step 6" in str(done.error)
+        state = initial_state(2, 3)
+        with pytest.raises(DeviationIdentityError, match="at step 6"):
+            for a in seq:
+                state = step(state, a, cert)
 
     def test_step_returns_the_state_a_chunk_computed(self):
         state = initial_state(1, 1)
@@ -262,9 +283,17 @@ def growing(n):
 
 #: what factor 25 is, in the chunk of factors 21-40, and what it raises
 FAULTS = {
-    "violation": (BlockUpperTriangular(1, [[1.0]], [[1.5]]), CertificateViolationError, "step 25"),
+    "violation": (
+        BlockUpperTriangular(1, [[1.0]], [[1.5]]),
+        CertificateViolationError,
+        "step 25",
+    ),
     "singular": (SINGULAR, SingularMatrixError, "singular"),
-    "shape": (BlockUpperTriangular(2, [[1.0], [1.0]], [[0.5]]), ShapeError, "stream factor 25"),
+    "shape": (
+        BlockUpperTriangular(2, [[1.0], [1.0]], [[0.5]]),
+        ShapeError,
+        "stream factor 25",
+    ),
     "iterator": (None, RuntimeError, "factor 25"),
 }
 
@@ -309,9 +338,59 @@ class TestStreamReading:
         feed = Counting(itertools.repeat(A_HALF))
         cfg = AnalyzerConfig(eps=1e-9, horizon=horizon)
         report = analyze(Stream(feed), cfg, cert=RATE_NEAR_ONE)
-        fired = len(report.trace) if report.verdict is Verdict.CONVERGED_NUMERICALLY else None
         assert feed.read <= horizon
-        if fired is not None:
-            assert fired == 21 and feed.read - fired <= 19
+        if report.verdict is Verdict.CONVERGED_NUMERICALLY:
+            assert len(report.trace) == 21 and feed.read - 21 <= 19
         else:
             assert horizon < 21 and len(report.trace) == horizon
+
+
+@st.composite
+def value_streams(draw):
+    """Streams of 1 x 2 values that settle, oscillate, grow or wander, with
+    per-step gaps, and a way to split them into chunks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 120))
+    pattern = draw(st.sampled_from(["settle", "oscillate", "grow", "wander"]))
+    start = draw(st.integers(0, 30))
+    values = random_complex(rng, n, 2).reshape(n, 1, 2)
+    for i in range(start, n):
+        if pattern == "settle":
+            values[i] = values[start]
+        elif pattern == "oscillate":
+            values[i] = values[start + (i - start) % 2]
+        elif pattern == "grow":
+            values[i] *= 10.0 ** (i - start)
+    gaps = draw(st.one_of(st.none(), st.just("tiny")))
+    splits = draw(st.lists(st.integers(1, 25), min_size=1, max_size=20))
+    return values, gaps, splits
+
+
+class TestStreakDetector:
+    @settings(max_examples=100, deadline=None)
+    @given(case=value_streams())
+    def test_chunks_fire_where_single_values_fire(self, case):
+        from blockprod.analyzer import _StreakDetector
+
+        values, gaps, splits = case
+        gap_list = None if gaps is None else [1e-12] * len(values)
+        cfg = AnalyzerConfig(eps=1e-9, horizon=1000)
+
+        def fire(sizes):
+            detector = _StreakDetector(cfg, RATE_NEAR_ONE, "value", lambda v: v)
+            i = 0
+            for size in sizes:
+                if i >= len(values):
+                    return None
+                chunk_gaps = None if gap_list is None else gap_list[i : i + size]
+                fired = detector.update(values[i : i + size], chunk_gaps)
+                if fired is not None:
+                    at, report = fired
+                    points = report.witness.points if report.witness else ()
+                    limit = None if report.limit is None else report.limit.tobytes()
+                    return i + at, report.verdict, limit, [p.tobytes() for p in points]
+                i += size
+            return None
+
+        single = fire(itertools.repeat(1, len(values)))
+        assert fire(itertools.cycle(splits)) == single

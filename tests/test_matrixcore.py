@@ -143,7 +143,7 @@ def matrix_stacks(draw):
     rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** rng.uniform(-8, 8, (k, 1, 1))
-    return (rng.standard_normal((k, rows, cols)) + 1j * rng.standard_normal((k, rows, cols))) * scale
+    return scale * random_complex(rng, k * rows, cols).reshape(k, rows, cols)
 
 
 class TestStackedNorms:
