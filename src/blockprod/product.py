@@ -119,7 +119,7 @@ def _chunk_length(m: int) -> int:
 
 class _Steps(NamedTuple):
     """What :func:`_advance` did with a chunk: the state after each step it
-    took, those steps' limit candidates L_n as one read-only stack, and the
+    took, those steps' limit candidates L_n as one stack, and the
     failure at the step after them, or None when it took every step."""
 
     states: list[ProductState]
@@ -171,7 +171,6 @@ def _advance(
         return _Steps([], np.empty((0, *state.x.shape), dtype=np.complex128), error)
 
     l = _stack(ls)
-    l.flags.writeable = False
     # X_n, D_n = X_n - L_n, Y_n = L_n - L_{n-1} and the identity residual
     # D_n - (D_{n-1} - Y_n) C_n, in one buffer for one norm call
     quantities = np.empty((4, k, *state.x.shape), dtype=np.complex128)
