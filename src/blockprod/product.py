@@ -63,8 +63,10 @@ class ProductState:
     ``identity_residual`` records how well the one-step deviation identity
     was satisfied numerically.  ``norm_x``, ``norm_d`` and ``norm_y`` are
     the norms of ``x``, ``d_dev`` and ``y_prev`` in the certificate norm the
-    state was stepped under, computed once by :func:`step` (0 for the empty
-    product, and ``norm_y`` 0 while ``y_prev`` is None).
+    state was stepped under, computed once by the step engine (0 for the
+    empty product, and ``norm_y`` 0 while ``y_prev`` is None).  A state the
+    engine computed may be a view into the buffers of its chunk; no later
+    chunk writes to them.
     """
 
     n: int
