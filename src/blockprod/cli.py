@@ -9,6 +9,8 @@ them.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import sys
 
@@ -32,7 +34,7 @@ from .matrixcore import BUILTIN_NORMS, lyapunov_scaling, norm_value, spectral_ce
 from .product import (
     _advance,
     _chunk_length,
-    dense_partial_product,
+    _dense_cycle_product,
     initial_state,
     trace_row,
 )
@@ -69,21 +71,21 @@ def cmd_product(args) -> int:
     if args.n < 1:
         raise ParseError("--n must be >= 1")
     cert = _certificate_for_members(doc.members, doc.certificate)
-    members = doc.members
-    if doc.kind == "finite":  # the last member repeats forever
-        members += members[-1:] * (args.n - len(members))
-    seq = [members[k % len(members)] for k in range(args.n)]
+    # a finite file's last member repeats forever
+    split = 0 if doc.kind == "periodic" else len(doc.members) - 1
+    prefix, cycle = doc.members[:split], doc.members[split:]
+    factors = itertools.islice(itertools.chain(prefix, itertools.cycle(cycle)), args.n)
     state = initial_state(doc.s, doc.d - doc.s)
     rows = []
     size = _chunk_length(doc.d - doc.s)
-    for i in range(0, len(seq), size):
-        done = _advance(state, seq[i : i + size], cert, traced=bool(args.trace))
+    while chunk := list(itertools.islice(factors, size)):
+        done = _advance(state, chunk, cert, traced=bool(args.trace))
         if args.trace:
             rows += [trace_row(st, cert) for st in done.states]
         if done.error is not None:
             raise done.error
         state = done.states[-1]
-    dense = dense_partial_product(seq, args.n)
+    dense = _dense_cycle_product(prefix, cycle, args.n)
     diff = max(
         float(np.abs(dense[: doc.s, doc.s :] - state.x).max()),
         float(np.abs(dense[doc.s :, doc.s :] - state.gamma).max()),
@@ -148,7 +150,12 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared by
+    every call, so it must not be changed: parsing does not change it.  It
+    names the subcommand and holds no command function, so :func:`main`
+    looks the function up at call time."""
     parser = argparse.ArgumentParser(
         prog="blockprod",
         description="Analyze infinite products of block upper-triangular matrices",
@@ -159,17 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trace", default=None, help="write per-step CSV trace here")
-    p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("analyze", help="decide convergence of the product")
     p.add_argument("--input", required=True)
     p.add_argument("--eps", type=float, default=1e-10)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("certify-rcp", help="certify the RCP property of a set")
     p.add_argument("--input", required=True)
     p.add_argument("--atol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_certify_rcp)
 
     p = sub.add_parser("norm", help="certify contraction of a single matrix")
     p.add_argument("--input", required=True)
@@ -178,15 +182,20 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", *(norm.kind for norm in BUILTIN_NORMS), "lyapunov"),
         default="auto",
     )
-    p.set_defaults(func=cmd_norm)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one subcommand; the only place where errors become exit codes."""
     args = build_parser().parse_args(argv)
+    command = {
+        "product": cmd_product,
+        "analyze": cmd_analyze,
+        "certify-rcp": cmd_certify_rcp,
+        "norm": cmd_norm,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ParseError as exc:
         code, message = EXIT_PARSE, f"parse error: {exc}"
     except CertificateViolationError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -285,6 +286,30 @@ def dense_partial_product(seq: Sequence[BlockUpperTriangular], n: int) -> np.nda
     for a in seq[1:n]:
         out = out @ a.to_dense()
     return out
+
+
+def _dense_cycle_product(
+    prefix: Sequence[BlockUpperTriangular],
+    cycle: Sequence[BlockUpperTriangular],
+    n: int,
+) -> np.ndarray:
+    """P_n of *prefix* followed by *cycle* repeated forever, in O(log n)
+    dense products: the prefix cut to n, then the dense product of one
+    period raised to the power q by repeated squaring, then the first r
+    members of the cycle, where q, r = divmod(n - len(prefix), len(cycle)).
+
+    Dense like :func:`dense_partial_product`, so independent of the step
+    engine, and equal to it up to rounding.
+    """
+    if n < 1:
+        raise IndexError(f"n={n} out of range")
+    prefix = prefix[:n]
+    q, r = divmod(n - len(prefix), len(cycle))
+    dense = [a.to_dense() for a in cycle[: len(cycle) if q else r]]
+    factors = [a.to_dense() for a in prefix]
+    if q:
+        factors.append(np.linalg.matrix_power(reduce(np.matmul, dense), q))
+    return reduce(np.matmul, factors + dense[:r])
 
 
 def left_product_init(s: int, csize: int) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ booleans are not numbers.  All floats are printed with 17 significant digits.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -70,7 +71,7 @@ class SequenceDocument:
 
 
 #: a JSON number is an exact ``int`` or ``float``, so booleans are refused
-_REAL = (int, float)
+_REAL = frozenset((int, float))
 
 
 def _scalar(v):
@@ -81,10 +82,44 @@ def _scalar(v):
     raise ParseError(f"invalid scalar {v!r} (expected a number or [re, im])")
 
 
+def _whole_block(data: list, cols: int) -> np.ndarray | None:
+    """*data* as one complex array when its rows are lists of *cols*
+    scalars that are all real or all [re, im] pairs, else None."""
+    if any(type(row) is not list or len(row) != cols for row in data):
+        return None
+    entries = list(itertools.chain.from_iterable(data))
+    kinds = set(map(type, entries))
+    try:
+        if kinds <= _REAL:
+            out = np.array(entries, dtype=np.float64).astype(np.complex128)
+        elif kinds == {list} and set(map(len, entries)) == {2}:
+            parts = list(itertools.chain(*entries))
+            if not set(map(type, parts)) <= _REAL:
+                return None
+            out = np.array(parts, dtype=np.float64).view(np.complex128)
+        else:
+            return None
+    except OverflowError:  # an int too large for a float
+        return None
+    return out.reshape(len(data), cols)
+
+
 def _array(data, rows: int, cols: int, what: str) -> np.ndarray:
-    """A rows x cols complex block of finite numbers read from nested lists."""
+    """A rows x cols complex block of finite numbers read from nested lists.
+
+    A block of only real scalars or only pairs is converted in one call;
+    any other block, valid or not, is read one scalar at a time."""
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"{what} must be a list of {rows} rows")
+    out = _whole_block(data, cols)
+    if out is None:
+        out = _per_scalar(data, rows, cols, what)
+    if not np.isfinite(out).all():
+        raise ParseError(f"{what} holds a non-finite number")
+    return out
+
+
+def _per_scalar(data: list, rows: int, cols: int, what: str) -> np.ndarray:
     out = np.empty((rows, cols), dtype=np.complex128)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
@@ -93,8 +128,6 @@ def _array(data, rows: int, cols: int, what: str) -> np.ndarray:
             out[i] = [_scalar(v) for v in row]
         except OverflowError:
             raise ParseError(f"{what} holds a number too large for a float") from None
-    if not np.isfinite(out).all():
-        raise ParseError(f"{what} holds a non-finite number")
     return out
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,16 @@ from blockprod import (
     ShapeError,
     SingularMatrixError,
 )
-from blockprod import cli
+from blockprod import (
+    INF_NORM,
+    BlockUpperTriangular,
+    ContractionCertificate,
+    cli,
+    initial_state,
+    step,
+)
 from blockprod.cli import main
-from blockprod.seqfile import TRACE_HEADER
+from blockprod.seqfile import TRACE_HEADER, fmt_matrix
 from conftest import gelfand_only_c
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -104,6 +112,67 @@ class TestProduct:
         path.write_text(text)
         code, out, err = run(capsys, "product", "--input", str(path), "--n", "3")
         assert code == 2 and out == "" and err.startswith("parse error:")
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 11])
+    def test_finite_file_repeats_its_last_member(self, capsys, tmp_path, n):
+        rng = np.random.default_rng(n)
+        members = [
+            BlockUpperTriangular(1, rng.standard_normal((1, 2)), 0.3 * rng.uniform(-1, 1, (2, 2)))
+            for _ in range(3)
+        ]
+        path = tmp_path / "finite.json"
+        path.write_text(json.dumps({
+            "kind": "finite", "s": 1, "d": 3, "norm": "inf", "rate": 0.6,
+            "matrices": [{"B": a.b.real.tolist(), "C": a.c.real.tolist()} for a in members],
+        }))
+        state = initial_state(1, 2)
+        for k in range(n):
+            state = step(state, members[min(k, 2)], ContractionCertificate(INF_NORM, 0.6))
+        code, out, _ = run(capsys, "product", "--input", str(path), "--n", str(n))
+        assert code == 0 and "dense cross-check: OK (|diff| <= 1e-11)" in out
+        assert f"X:\n{fmt_matrix(state.x)}\ngamma:\n{fmt_matrix(state.gamma)}\n" in out
+
+    def test_memory_does_not_grow_with_n(self, capsys):
+        # the factors are fed one chunk at a time, never as a list of all n
+        argv = ("product", "--input", str(FIXTURES / "constant.json"), "--n")
+        run(capsys, *argv, "1")  # imports and the parser, once
+        peaks = []
+        for n in ("200", "20000"):
+            tracemalloc.start()
+            try:
+                code, out, _ = run(capsys, *argv, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and "dense cross-check: OK (|diff| <= 1e-11)" in out
+        assert peaks[1] < 2 * peaks[0]
+
+
+def test_parser_built_once_gives_the_outputs_of_fresh_ones(capsys):
+    calls = [
+        ("product", "--input", str(FIXTURES / "constant.json"), "--n", "3"),
+        ("product", "--n", "3"),  # no --input: argparse exits with 2
+        ("norm", "--input", str(FIXTURES / "nilpotent.json"), "--kind", "lyapunov"),
+        ("analyze", "--input", str(FIXTURES / "constant.json")),
+    ]
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    reused = [call(argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+    assert reused[1][0] == ("exit", 2) and "--input" in reused[1][2]
 
 
 @pytest.mark.parametrize("b", ["1e6", "1e8"])

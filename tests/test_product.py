@@ -27,6 +27,7 @@ from blockprod import (
     trace_row,
     uniform_certificate,
 )
+from blockprod.product import _dense_cycle_product
 from conftest import random_block, random_complex
 
 A_HALF = BlockUpperTriangular(1, [[1.0]], [[0.5]])
@@ -274,6 +275,60 @@ class TestDensePartialProduct:
             out = dense_partial_product(seq, 8)
             assert np.array_equal(out[:s, :s], np.eye(s))
             assert np.all(out[s:, :s] == 0)
+
+
+class TestDenseCycleProduct:
+    """The O(log n) dense oracle of the CLI against the brute-force one on
+    the materialised sequence."""
+
+    @staticmethod
+    def materialised(prefix, cycle, n):
+        return [*prefix, *(cycle[k % len(cycle)] for k in range(n))][:n]
+
+    @pytest.mark.parametrize("bscale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize(
+        "plen, period",
+        [(0, 1), (0, 2), (0, 4), (1, 1), (3, 1), (2, 3)],
+        ids=lambda v: str(v),
+    )
+    def test_matches_dense_partial_product(self, rng, plen, period, bscale):
+        s, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        prefix = [random_block(rng, s, m, bscale) for _ in range(plen)]
+        cycle = [random_block(rng, s, m, bscale) for _ in range(period)]
+        ns = {1, period - 1, period, period + 1, 7 * period + period // 2}
+        ns |= {plen + n for n in set(ns)} | {plen - 1}  # n in and past the prefix
+        for n in sorted(k for k in ns if k >= 1):
+            got = _dense_cycle_product(prefix, cycle, n)
+            want = dense_partial_product(self.materialised(prefix, cycle, n), n)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+            assert np.array_equal(got[:s, :s], np.eye(s))
+            assert np.all(got[s:, :s] == 0)
+
+    def test_first_members_exactly(self, rng):
+        # below one period past the prefix no power is taken: the same
+        # products in the same order
+        prefix = [random_block(rng, 2, 3) for _ in range(3)]
+        cycle = [random_block(rng, 2, 3) for _ in range(4)]
+        for n in range(1, 7):
+            seq = self.materialised(prefix, cycle, n)
+            assert np.array_equal(
+                _dense_cycle_product(prefix, cycle, n), dense_partial_product(seq, n)
+            )
+
+    def test_assembles_each_member_once(self, rng, monkeypatch):
+        prefix = [random_block(rng, 1, 2) for _ in range(2)]
+        cycle = [random_block(rng, 1, 2) for _ in range(3)]
+        calls = []
+        original = BlockUpperTriangular.to_dense
+        monkeypatch.setattr(
+            BlockUpperTriangular, "to_dense", lambda a: calls.append(a) or original(a)
+        )
+        _dense_cycle_product(prefix, cycle, 10**6 + 1)
+        assert len(calls) == len(prefix) + len(cycle)
+
+    def test_n_below_one(self):
+        with pytest.raises(IndexError):
+            _dense_cycle_product([], [A_HALF], 0)
 
 
 class TestOracleEquivalence:
