@@ -254,35 +254,27 @@ def _analyze_cycle(
     )
 
 
-def _stream_factors(
-    factors: Iterable[BlockUpperTriangular], horizon: int
-) -> Iterator[BlockUpperTriangular]:
-    """The first *horizon* factors of a stream, which must all share the
-    block orders (s, m) of the first."""
-    split = None
-    for n, a in enumerate(itertools.islice(factors, horizon), start=1):
-        if split is None:
-            split = (a.s, a.csize)
-        elif (a.s, a.csize) != split:
-            raise ShapeError(
-                f"stream factor {n} has (s, m) = ({a.s}, {a.csize}); "
-                f"the stream began with {split}"
-            )
-        yield a
-
-
 def _stream_chunks(
     factors: Iterable[BlockUpperTriangular], horizon: int
 ) -> Iterator[list[BlockUpperTriangular]]:
-    """The factors of :func:`_stream_factors` in chunks of the step
-    engine's length for their C-block order.  When reading raises inside a
-    chunk, the factors read before are yielded first, so a consumer that
-    reaches a verdict among them never sees the exception."""
+    """The first *horizon* factors of a stream, which must all share the
+    block orders (s, m) of the first, in chunks of the step engine's length
+    for their C-block order.  When reading raises inside a chunk, the
+    factors read before are yielded first, so a consumer that reaches a
+    verdict among them never sees the exception."""
     chunk: list[BlockUpperTriangular] = []
     try:
-        for a in _stream_factors(factors, horizon):
+        for n, a in enumerate(itertools.islice(factors, horizon), start=1):
+            if n == 1:  # a factor's B-block has the shape (s, m)
+                split, shape = (a.s, a.csize), a.b.shape
+                size = _chunk_length(a.csize)
+            elif a.b.shape != shape:
+                raise ShapeError(
+                    f"stream factor {n} has (s, m) = ({a.s}, {a.csize}); "
+                    f"the stream began with {split}"
+                )
             chunk.append(a)
-            if len(chunk) == _chunk_length(a.csize):
+            if len(chunk) == size:
                 yield chunk
                 chunk = []
     except Exception:
@@ -291,10 +283,6 @@ def _stream_chunks(
         raise
     if chunk:
         yield chunk
-
-
-def _frobenius(st: np.ndarray) -> list[float]:
-    return _norms(st, FROBENIUS).tolist()
 
 
 @dataclass
@@ -330,12 +318,14 @@ class _StreakDetector:
         before = len(self.last)
         # seen[before + i] is values[i], seen[:before] the carried values
         seen = np.concatenate([v[None] for v in self.last] + [values])
-        seen.flags.writeable = False
-        sizes = _frobenius(values)
-        back1 = _frobenius(seen[1:] - seen[:-1]) if len(seen) > 1 else []
-        back2 = _frobenius(seen[2:] - seen[:-2]) if len(seen) > 2 else []
+        seen.setflags(write=False)
+        # |v_n|, v_n - v_{n-1} and v_n - v_{n-2}, in one norm call
+        k, t = len(values), len(seen)
+        steps = [values, seen[1:] - seen[:-1], seen[2:] - seen[:-2]]
+        norms = _norms(np.concatenate(steps), FROBENIUS).tolist()
+        sizes, back1, back2 = norms[:k], norms[k : k + t - 1], norms[k + t - 1 :]
         self.last = list(seen[-2:])
-        for i, j in enumerate(range(before, len(seen))):
+        for i, j in enumerate(range(before, t)):
             if sizes[i] > 1.0 / eps:
                 return i, AnalysisReport(
                     verdict=Verdict.DIVERGED_NUMERICALLY,
@@ -354,9 +344,8 @@ class _StreakDetector:
                 )
             if j < 2:
                 continue
-            near_two_back = back2[j - 2] < eps
-            far_one_back = back1[j - 1] > 100 * eps
-            oscillating = near_two_back and far_one_back
+            # near v_{n-2} while far from v_{n-1}
+            oscillating = back2[j - 2] < eps and back1[j - 1] > 100 * eps
             self.osc_streak = self.osc_streak + 1 if oscillating else 0
             if self.osc_streak >= _STREAK_WINDOW:
                 return i, AnalysisReport(

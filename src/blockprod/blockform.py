@@ -17,7 +17,7 @@ __all__ = ["BlockUpperTriangular", "block_mul"]
 def _read_only_copy(data) -> np.ndarray:
     # one C-ordered copy; as_matrix takes it as it is, and checks it
     m = as_matrix(np.array(data, dtype=np.complex128, order="C"))
-    m.flags.writeable = False
+    m.setflags(write=False)
     return m
 
 
@@ -41,7 +41,7 @@ def _limits(
             [a.b for a in todo], eye - _stack([a.c for a in todo])
         )
         for a, l in zip(todo, ls):
-            l.flags.writeable = False
+            l.setflags(write=False)
             vars(a)["_limit"] = l
     out = []
     for a in factors:
@@ -68,16 +68,17 @@ class BlockUpperTriangular:
     c: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _read_only_copy(self.b))
-        object.__setattr__(self, "c", _read_only_copy(self.c))
-        if self.s < 1:
+        s, b, c = self.s, _read_only_copy(self.b), _read_only_copy(self.c)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        if s < 1:
             raise ShapeError("identity block order must be >= 1")
-        if self.c.shape[0] != self.c.shape[1] or self.c.shape[0] < 1:
+        rows, m = c.shape
+        if rows != m or m < 1:
             raise ShapeError("lower-right block must be square and nonempty")
-        if self.b.shape != (self.s, self.c.shape[0]):
+        if b.shape != (s, m):
             raise ShapeError(
-                f"top-right block must be {self.s}x{self.c.shape[0]}, "
-                f"got {self.b.shape[0]}x{self.b.shape[1]}"
+                f"top-right block must be {s}x{m}, got {b.shape[0]}x{b.shape[1]}"
             )
 
     @property

@@ -5,9 +5,9 @@ Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The helpers
 here enforce the invariants (2-D, finite entries) at construction points; all
 operations are pure.  The public :func:`norm_value` and :func:`solve_right`
 validate their inputs and then call the private ``_norm`` and
-``_solve_right``.  The step engine calls their stacked forms, ``_norms`` and
-``_solve_right_each``, directly on matrices that were validated when their
-factor was built.
+``_solve_right_each``.  The step engine calls ``_norms``, the stacked form
+of ``_norm``, and ``_solve_right_each`` directly on matrices that were
+validated when their factor was built.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def as_matrix(data) -> np.ndarray:
     m = np.asarray(data, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise ShapeError("matrix entries must be finite")
     return m
 
@@ -84,7 +84,7 @@ class MatrixNorm:
         p = as_matrix(self.scaling)
         if p.shape[0] != p.shape[1]:
             raise ShapeError("scaling matrix must be square")
-        if not np.allclose(p, p.conj().T, atol=1e-12):
+        if not np.allclose(p, p.conj().T, rtol=0, atol=1e-12):
             raise ShapeError("scaling matrix must be Hermitian (atol 1e-12)")
         try:
             np.linalg.cholesky(p)
@@ -184,18 +184,26 @@ def solve_right(b, m) -> np.ndarray:
         raise ShapeError(
             f"operand columns ({b.shape[1]}) must match factor order ({m.shape[0]})"
         )
-    return _solve_right(b, m)
-
-
-_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
-
-
-def _solve_right(b: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """:func:`solve_right` of validated complex arrays of conforming shapes."""
     xs, singular = _solve_right_each([b], [m])
     if singular is not None:
         raise singular
     return xs[0]
+
+
+_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+_TRTRS, _GESV = scipy.linalg.get_lapack_funcs(("trtrs", "gesv"), dtype=np.complex128)
+
+
+def _lu_solve(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LU factors of m and the solution x of m x = b, without writing
+    to m or b: one gesv call, which is getrf and getrs bit for bit, except
+    for one right-hand side, where OpenBLAS's getrs takes a matrix-vector
+    path that gesv does not."""
+    if b.shape[1] > 1:
+        lu, _, x, _ = _GESV(m, b)
+        return lu, x
+    lu, piv, _ = _GETRF(m)
+    return lu, _GETRS(lu, piv, b)[0]
 
 
 def _solve_right_each(
@@ -205,19 +213,20 @@ def _solve_right_each(
     is singular to working precision, and return the solutions with that
     one's :class:`SingularMatrixError` (None when every m_i is regular).
 
-    Each m_i gets one LU factorization, and the pivot rule is checked over
-    all of them in one call."""
+    Each pair is factored and solved by :func:`_lu_solve`, the pivot rule
+    is checked on all the factorizations in one call, and a solution is
+    used only when its factorization passes."""
     # X m = b  <=>  m^T X^T = b^T; the transposes of C-ordered arrays are
     # Fortran-ordered views, as LAPACK wants them
-    lus = [_GETRF(m.T)[:2] for m in ms]
-    pivots = np.abs(np.diagonal(_stack([lu for lu, _ in lus]), axis1=1, axis2=2))
+    solved = [_lu_solve(m.T, b.T) for b, m in zip(bs, ms)]
+    pivots = np.abs(np.diagonal(_stack([lu for lu, _ in solved]), axis1=1, axis2=2))
     xs = []
-    for (lu, piv), b, low, high in zip(
-        lus, bs, pivots.min(axis=1).tolist(), pivots.max(axis=1).tolist()
+    for (_, x), low, high in zip(
+        solved, pivots.min(axis=1).tolist(), pivots.max(axis=1).tolist()
     ):
         if low <= 1e-14 * max(1.0, high):
             return xs, SingularMatrixError(low)
-        xs.append(_GETRS(lu, piv, b.T)[0].T)
+        xs.append(x.T)
     return xs, None
 
 
@@ -225,7 +234,6 @@ def _solve_right_each(
 #: its m^2 x m^2 complex matrix takes 16 m^4 bytes, about 85 MB at m = 48
 _STEIN_SET_MAX_ORDER = 48
 
-_TRTRS, _GESV = scipy.linalg.get_lapack_funcs(("trtrs", "gesv"), dtype=np.complex128)
 _NRM2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.complex128)
 
 

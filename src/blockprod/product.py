@@ -51,7 +51,7 @@ __all__ = [
 IDENTITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProductState:
     """Immutable snapshot of a partial right product.
 
@@ -89,6 +89,18 @@ class ProductState:
     _norm_gamma: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __init__(
+        self, n, x, gamma, l, d_dev, y_prev, bound,
+        identity_residual=0.0, norm_x=0.0, norm_d=0.0, norm_y=0.0,
+    ):  # fmt: skip
+        # the fields in one update of the instance dict, in half the time of
+        # the generated __init__, which sets each by object.__setattr__
+        vars(self).update(
+            n=n, x=x, gamma=gamma, l=l, d_dev=d_dev, y_prev=y_prev, bound=bound,
+            identity_residual=identity_residual, norm_x=norm_x, norm_d=norm_d,
+            norm_y=norm_y, _next=None, _norm_gamma=None,
+        )  # fmt: skip
 
 
 def initial_state(s: int, csize: int) -> ProductState:
@@ -206,18 +218,9 @@ def _advance(
         else:
             y_prev, bound = y[i], (prev.bound + norm_y[i]) * cert.rate
         new = ProductState(
-            n=n,
-            x=xs[i],
-            gamma=gammas[i],
-            l=ls[i],
-            d_dev=d[i],
-            y_prev=y_prev,
-            bound=bound,
-            identity_residual=norm_r[i],
-            norm_x=norm_x[i],
-            norm_d=norm_d[i],
-            norm_y=norm_y[i],
-        )
+            n, xs[i], gammas[i], ls[i], d[i], y_prev, bound,
+            norm_r[i], norm_x[i], norm_d[i], norm_y[i],
+        )  # fmt: skip
         if norm_gamma is not None:
             object.__setattr__(new, "_norm_gamma", (cert.norm, norm_gamma[i]))
         object.__setattr__(prev, "_next", (factors[i], cert, weakref.ref(new)))
@@ -349,10 +352,5 @@ def trace_row(state: ProductState, cert: ContractionCertificate) -> TraceRow:
     else:
         norm_gamma = _norm(state.gamma, cert.norm)
     return TraceRow(
-        n=state.n,
-        norm_X=state.norm_x,
-        norm_Y=state.norm_y,
-        norm_D=state.norm_d,
-        bound=state.bound,
-        norm_gamma=norm_gamma,
+        state.n, state.norm_x, state.norm_y, state.norm_d, state.bound, norm_gamma
     )

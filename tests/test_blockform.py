@@ -22,12 +22,20 @@ class TestToDense:
 
 class TestInvariants:
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^identity block order must be >= 1$"):
             BlockUpperTriangular(0, np.zeros((0, 1)), np.zeros((1, 1)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(
+            ShapeError, match="^top-right block must be 1x1, got 2x1$"
+        ):
             BlockUpperTriangular(1, np.zeros((2, 1)), np.zeros((1, 1)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(
+            ShapeError, match="^lower-right block must be square and nonempty$"
+        ):
             BlockUpperTriangular(1, np.zeros((1, 2)), np.zeros((2, 3)))
+        with pytest.raises(
+            ShapeError, match="^lower-right block must be square and nonempty$"
+        ):
+            BlockUpperTriangular(1, np.zeros((1, 0)), np.zeros((0, 0)))
 
 
 class TestOwnership:

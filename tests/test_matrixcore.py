@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -70,12 +71,53 @@ class TestMatmul:
             random_complex(rng, 2, 3) @ random_complex(rng, 2, 3)
 
 
+def with_entry(value, part, at, shape=(2, 2)):
+    """A finite complex matrix of *shape* whose first or last entry has
+    *value* in its real or imaginary part."""
+    m = np.full(shape, 0.25 + 0.5j)
+    m.flat[0 if at == "first" else -1] = complex(
+        *((value, 0.5) if part == "real" else (0.25, value))
+    )
+    return m
+
+
+FINITE_EXTREMES = pytest.mark.parametrize(
+    "value", [0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
 class TestAsMatrix:
     def test_rejects_nonfinite(self):
-        with pytest.raises(ShapeError):
-            as_matrix([[np.nan]])
-        with pytest.raises(ShapeError):
-            as_matrix([[np.inf, 1.0]])
+        # NaN, +inf and -inf in the real or the imaginary part of the first
+        # or the last entry, through every construction point
+        for value, part, at in itertools.product(
+            (np.nan, np.inf, -np.inf), ("real", "imag"), ("first", "last")
+        ):
+            m = with_entry(value, part, at)
+            p = np.eye(2, dtype=np.complex128)
+            p.flat[0 if at == "first" else -1] = m.flat[0 if at == "first" else -1]
+            for build in (
+                lambda: as_matrix(m),
+                lambda: BlockUpperTriangular(2, m, 0.5 * np.eye(2)),
+                lambda: BlockUpperTriangular(2, np.ones((2, 2)), m),
+                lambda: lyapunov_norm(p),
+            ):
+                with pytest.raises(ShapeError, match="matrix entries must be finite"):
+                    build()
+
+    @FINITE_EXTREMES
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_accepts_signed_zeros_and_the_largest_doubles(self, value, part, at):
+        m = with_entry(value, part, at)
+        assert np.array_equal(as_matrix(m), m)
+        a = BlockUpperTriangular(2, m, 0.5 * np.eye(2))
+        assert np.array_equal(a.b, m)
+        assert np.array_equal(BlockUpperTriangular(2, np.ones((2, 2)), m).c, m)
+
+    def test_scaling_accepts_signed_zeros(self):
+        p = np.array([[1.0, -0.0], [0.0, 2.0]])
+        assert np.array_equal(lyapunov_norm(p).scaling, p)
 
     def test_refuses_scalars_and_vectors(self):
         with pytest.raises(ShapeError):
@@ -111,11 +153,71 @@ class TestSolveRight:
             solve_right([[1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]])
         assert exc.value.pivot >= 0.0
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_leaves_its_operands_unchanged(self, rng, order):
+        m = np.array(random_complex(rng, 4, 4) + 3 * np.eye(4), order=order)
+        b = np.array(random_complex(rng, 3, 4), order=order)
+        m0, b0 = m.copy(), b.copy()
+        solve_right(b, m)
+        assert np.array_equal(m, m0) and np.array_equal(b, b0)
+
     def test_shape_errors(self, rng):
         with pytest.raises(ShapeError):
             solve_right([[1.0]], random_complex(rng, 2, 3))
         with pytest.raises(ShapeError):
             solve_right([[1.0, 2.0, 3.0]], np.eye(2))
+
+
+#: the reference arithmetic of _solve_right_each: an LU factorization, then
+#: the solve with it, as two LAPACK calls
+GETRF, GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+
+
+def getrf_getrs_reference(bs, ms):
+    """_solve_right_each by one getrf and one getrs call per pair: the
+    solutions up to the first m_i whose pivots fail the rule
+    min |u_jj| <= 1e-14 max(1, max |u_jj|), that index, and its smallest
+    pivot (None, None when every m_i passes)."""
+    xs = []
+    for i, (b, m) in enumerate(zip(bs, ms)):
+        lu, piv, _ = GETRF(m.T)
+        pivots = np.abs(np.diagonal(lu))
+        low, high = float(pivots.min()), float(pivots.max())
+        if low <= 1e-14 * max(1.0, high):
+            return xs, i, low
+        xs.append(GETRS(lu, piv, b.T)[0].T)
+    return xs, None, None
+
+
+@st.composite
+def solve_lists(draw):
+    """Up to eight pairs (b, m), b of shape s x m and m of order m, s <= 6 and
+    m <= 12, C-ordered as the step engine passes them.  A member of m is
+    regular, exactly singular (a zero row), singular to working precision (a
+    row that is a combination of the others) or badly scaled."""
+    s, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["regular", "zero_row", "dependent", "scaled"]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    bs, ms = [], []
+    for kind in kinds:
+        m = random_complex(rng, n, n)
+        if kind == "zero_row":
+            m[rng.integers(n)] = 0.0
+        elif kind == "dependent":
+            w = random_complex(rng, 1, n)
+            w[0, -1] = 0.0
+            m[-1] = (w @ m)[0]
+        elif kind == "scaled":
+            m *= 10.0 ** rng.uniform(-20, 20)
+        bs.append(random_complex(rng, s, n))
+        ms.append(m)
+    return bs, np.array(ms)
 
 
 class TestSolveRightEach:
@@ -135,6 +237,20 @@ class TestSolveRightEach:
         ms = [random_complex(rng, 2, 2) + 3 * np.eye(2) for _ in range(3)]
         xs, singular = _solve_right_each([np.eye(2)] * 3, np.array(ms))
         assert singular is None and len(xs) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=solve_lists())
+    def test_bit_identical_to_getrf_and_getrs(self, case):
+        bs, ms = case
+        xs, singular = _solve_right_each(bs, ms)
+        want, at, pivot = getrf_getrs_reference(bs, ms)
+        assert len(xs) == len(want) == (len(bs) if at is None else at)
+        for x, w in zip(xs, want):
+            assert x.tobytes() == w.tobytes()
+        if at is None:
+            assert singular is None
+        else:
+            assert singular.pivot == pivot
 
 
 @st.composite
@@ -199,8 +315,18 @@ class TestNormValue:
 
     @pytest.mark.parametrize(
         "p",
-        [[[1.0, 1.0], [0.0, 1.0]], [[-1.0]], [[1.0, 0.0]]],
-        ids=["not_hermitian", "not_positive_definite", "not_square"],
+        [
+            [[1.0, 1.0], [0.0, 1.0]],
+            [[2.0, 1.0], [1.0 + 5e-6, 2.0]],
+            [[-1.0]],
+            [[1.0, 0.0]],
+        ],
+        ids=[
+            "not_hermitian",
+            "hermitian_only_relatively",
+            "not_positive_definite",
+            "not_square",
+        ],
     )
     def test_direct_construction_validates_scaling(self, p):
         with pytest.raises(ShapeError):

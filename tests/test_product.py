@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from blockprod import (
     GelfandCertificate,
     INF_NORM,
     InvalidCertificateError,
+    ProductState,
     ShapeError,
     dense_partial_product,
     explicit_sum,
@@ -51,6 +52,35 @@ def run(seq, cert):
         state = step(state, a, cert)
         states.append(state)
     return states
+
+
+class TestProductState:
+    FIELDS = ["n", "x", "gamma", "l", "d_dev", "y_prev", "bound"]
+    FIELDS += ["identity_residual", "norm_x", "norm_d", "norm_y"]
+
+    def test_constructor_takes_every_field_by_position_or_keyword(self):
+        x, gamma = np.ones((1, 2), dtype=complex), np.eye(2, dtype=complex)
+        args = (3, x, gamma, 2 * x, -x, x / 4, 0.5, 1e-17, 1.0, 2.0, 0.25)
+        assert [f.name for f in fields(ProductState) if f.init] == self.FIELDS
+        by_position = ProductState(*args)
+        by_keyword = ProductState(**dict(zip(self.FIELDS, args)))
+        for state in (by_position, by_keyword):
+            assert all(getattr(state, f) is a for f, a in zip(self.FIELDS, args))
+            assert state._next is None and state._norm_gamma is None
+        assert repr(by_position) == repr(by_keyword)
+        assert repr(by_position).startswith("ProductState(n=3, x=array(")
+        with pytest.raises(FrozenInstanceError):
+            by_position.n = 4
+
+    def test_defaults_and_replace(self):
+        x = np.zeros((1, 1), dtype=complex)
+        state = ProductState(0, x, x, x, x, None, 0.0)
+        assert (state.identity_residual, state.norm_x, state.norm_d) == (0, 0, 0)
+        assert state.norm_y == 0.0
+        done = run([A_HALF], CERT_HALF)[0]
+        again = replace(done, bound=1.0)
+        assert again.bound == 1.0 and again.x is done.x and again._next is None
+        assert again._norm_gamma is None
 
 
 class TestStep:
