@@ -16,7 +16,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,14 +33,7 @@ from .matrixcore import (
     require_per_factor,
     spectral_certificate,
 )
-from .product import (
-    TraceRow,
-    _advance,
-    _chunk_length,
-    initial_state,
-    step,
-    trace_row,
-)
+from .product import TraceRow, _run, _stream_chunks, step, trace_row
 
 __all__ = [
     "Periodic",
@@ -254,37 +247,6 @@ def _analyze_cycle(
     )
 
 
-def _stream_chunks(
-    factors: Iterable[BlockUpperTriangular], horizon: int
-) -> Iterator[list[BlockUpperTriangular]]:
-    """The first *horizon* factors of a stream, which must all share the
-    block orders (s, m) of the first, in chunks of the step engine's length
-    for their C-block order.  When reading raises inside a chunk, the
-    factors read before are yielded first, so a consumer that reaches a
-    verdict among them never sees the exception."""
-    chunk: list[BlockUpperTriangular] = []
-    try:
-        for n, a in enumerate(itertools.islice(factors, horizon), start=1):
-            if n == 1:  # a factor's B-block has the shape (s, m)
-                split, shape = (a.s, a.csize), a.b.shape
-                size = _chunk_length(a.csize)
-            elif a.b.shape != shape:
-                raise ShapeError(
-                    f"stream factor {n} has (s, m) = ({a.s}, {a.csize}); "
-                    f"the stream began with {split}"
-                )
-            chunk.append(a)
-            if len(chunk) == size:
-                yield chunk
-                chunk = []
-    except Exception:
-        if chunk:
-            yield chunk
-        raise
-    if chunk:
-        yield chunk
-
-
 @dataclass
 class _StreakDetector:
     """Numerical verdicts on a stream of values v_1, v_2, ... that converge
@@ -368,17 +330,12 @@ def _analyze_stream(
             "certificate checked at every step"
         )
     detector = _StreakDetector(cfg, cert, "limit candidate", lambda l: l)
-    state = None
     trace: list[TraceRow] = []
-    for chunk in _stream_chunks(seq.factors, cfg.horizon):
-        if state is None:
-            state = initial_state(chunk[0].s, chunk[0].csize)
-        done = _advance(state, chunk, cert, traced=True)
+    for state, chunk, done in _run(seq.factors, cert, cfg.horizon, traced=True):
         fired = detector.update(done.ls, [st.norm_y for st in done.states])
         taken = len(done.states) if fired is None else fired[0] + 1
-        # one public step per factor, which returns the state the chunk
-        # computed: perfbench/tracing.py's self-test counts step and
-        # trace_row calls on a stream
+        # one public step per factor returns the state the chunk computed:
+        # perfbench/tracing.py's self-test counts step and trace_row calls
         for a in chunk[:taken]:
             state = step(state, a, cert)
             trace.append(trace_row(state, cert))
@@ -386,8 +343,6 @@ def _analyze_stream(
             report = fired[1]
             bound = state.bound if report.limit is not None else None
             return replace(report, trace=tuple(trace), deviation_bound=bound)
-        if done.error is not None:
-            raise done.error
     return AnalysisReport(
         verdict=Verdict.INCONCLUSIVE, certificate=cert, trace=tuple(trace)
     )
@@ -408,11 +363,11 @@ def analyze(
     The verdict is Certified: the cycle converges iff its limit candidates
     lie within ``cfg.eps`` of each other (Frobenius), whatever member it
     starts at; a divergence witness lists every distinct phase limit.
-    Streams get numerical verdicts from the product engine up to the
-    horizon, fed in chunks of up to 20 factors, so a stream may be read up
-    to 19 factors past the step where a verdict fires (never past the
-    horizon).  A failure at a later step of that chunk, raised by a check
-    or by the stream itself, is then not raised.  Raises
+    Streams get numerical verdicts up to the horizon from the step engine,
+    which :mod:`blockprod.product` reads and drives in chunks of up to 20
+    factors: a stream may be read up to 19 factors past the step where a
+    verdict fires (never past the horizon), and a failure at a later step of
+    that chunk, raised by a check or by the stream itself, is not raised.  Raises
     :class:`AnalysisRefusedError` when no certificate is obtained,
     :class:`CertificateViolationError` when the data contradict a given
     one, and :class:`InvalidCertificateError` when a given one is not a

@@ -31,13 +31,7 @@ from .errors import (
     ParseError,
 )
 from .matrixcore import BUILTIN_NORMS, lyapunov_scaling, norm_value, spectral_certificate
-from .product import (
-    _advance,
-    _chunk_length,
-    _dense_cycle_product,
-    initial_state,
-    trace_row,
-)
+from .product import _dense_cycle_product, _run, trace_row
 from .seqfile import (
     SequenceDocument,
     fmt_float,
@@ -74,17 +68,11 @@ def cmd_product(args) -> int:
     # a finite file's last member repeats forever
     split = 0 if doc.kind == "periodic" else len(doc.members) - 1
     prefix, cycle = doc.members[:split], doc.members[split:]
-    factors = itertools.islice(itertools.chain(prefix, itertools.cycle(cycle)), args.n)
-    state = initial_state(doc.s, doc.d - doc.s)
+    factors = itertools.chain(prefix, itertools.cycle(cycle))
     rows = []
-    size = _chunk_length(doc.d - doc.s)
-    while chunk := list(itertools.islice(factors, size)):
-        done = _advance(state, chunk, cert, traced=bool(args.trace))
-        if args.trace:
-            rows += [trace_row(st, cert) for st in done.states]
-        if done.error is not None:
-            raise done.error
-        state = done.states[-1]
+    for _, _, done in _run(factors, cert, args.n, traced=bool(args.trace)):
+        rows += [trace_row(st, cert) for st in done.states] if args.trace else []
+    state = done.states[-1]  # every step was taken, and --n >= 1
     dense = _dense_cycle_product(prefix, cycle, args.n)
     diff = max(
         float(np.abs(dense[: doc.s, doc.s :] - state.x).max()),

@@ -84,13 +84,17 @@ class MatrixNorm:
         p = as_matrix(self.scaling)
         if p.shape[0] != p.shape[1]:
             raise ShapeError("scaling matrix must be square")
-        if not np.allclose(p, p.conj().T, rtol=0, atol=1e-12):
-            raise ShapeError("scaling matrix must be Hermitian (atol 1e-12)")
+        with np.errstate(over="ignore", invalid="ignore"):  # p -/+ p* may overflow
+            if not np.allclose(p, p.conj().T, rtol=0, atol=1e-12):
+                raise ShapeError("scaling matrix must be Hermitian (atol 1e-12)")
+            h = 0.5 * (p + p.conj().T)
+        if np.count_nonzero(np.isfinite(h)) != h.size:
+            h = 0.5 * p + 0.5 * p.conj().T  # exactly Hermitian, and finite
         try:
             np.linalg.cholesky(p)
         except np.linalg.LinAlgError:
             raise ShapeError("scaling matrix must be positive definite") from None
-        object.__setattr__(self, "scaling", 0.5 * (p + p.conj().T))
+        object.__setattr__(self, "scaling", h)
 
     def __eq__(self, other):
         # the generated hash covers only ``kind``, which equal norms share

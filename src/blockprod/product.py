@@ -14,10 +14,11 @@ propagated alongside the product.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,6 +133,37 @@ def _chunk_length(m: int) -> int:
     return max(1, min(_CHUNK_FACTORS, _CHUNK_ENTRIES // (m * m)))
 
 
+def _stream_chunks(
+    factors: Iterable[BlockUpperTriangular], horizon: int
+) -> Iterator[list[BlockUpperTriangular]]:
+    """The first *horizon* factors of a stream, which must all share the
+    block orders (s, m) of the first, in chunks of the step engine's length
+    for their C-block order.  When reading raises inside a chunk, the
+    factors read before are yielded first, so a consumer that reaches a
+    verdict among them never sees the exception."""
+    chunk: list[BlockUpperTriangular] = []
+    try:
+        for n, a in enumerate(itertools.islice(factors, horizon), start=1):
+            if n == 1:  # a factor's B-block has the shape (s, m)
+                split, shape = (a.s, a.csize), a.b.shape
+                size = _chunk_length(a.csize)
+            elif a.b.shape != shape:
+                raise ShapeError(
+                    f"stream factor {n} has (s, m) = ({a.s}, {a.csize}); "
+                    f"the stream began with {split}"
+                )
+            chunk.append(a)
+            if len(chunk) == size:
+                yield chunk
+                chunk = []
+    except Exception:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
 class _Steps(NamedTuple):
     """What :func:`_advance` did with a chunk: the state after each step it
     took, those steps' limit candidates L_n as one stack, and the
@@ -229,6 +261,27 @@ def _advance(
     return _Steps(states, l[: len(states)], error)
 
 
+def _run(
+    factors: Iterable[BlockUpperTriangular],
+    cert: ContractionCertificate,
+    horizon: int,
+    traced: bool = False,
+) -> Iterator[tuple[ProductState, list[BlockUpperTriangular], _Steps]]:
+    """The engine on the first *horizon* factors that :func:`_stream_chunks`
+    reads, from the empty product: per chunk, the state before it, the chunk
+    and its :class:`_Steps`.  A chunk's or the reader's failure is raised
+    only when the next chunk is asked for, after the consumer used this one."""
+    state = None
+    for chunk in _stream_chunks(factors, horizon):
+        if state is None:
+            state = initial_state(chunk[0].s, chunk[0].csize)
+        done = _advance(state, chunk, cert, traced)
+        yield state, chunk, done
+        if done.error is not None:
+            raise done.error
+        state = done.states[-1]
+
+
 def step(
     state: ProductState, a: BlockUpperTriangular, cert: ContractionCertificate
 ) -> ProductState:
@@ -250,9 +303,9 @@ def step(
     The factor's blocks were validated when it was built, so nothing is
     validated again here: the limit candidate is the factor's cached
     :attr:`~BlockUpperTriangular.limit`, and ||X_n||, ||D_n|| and ||Y_n||
-    are evaluated once each and kept on the returned state.  ``analyze`` on
-    a stream and the CLI's ``product`` run the same engine on chunks of up
-    to 20 factors, with bit-identical states.
+    are evaluated once each and kept on the returned state.  :func:`_run`
+    drives the same engine on chunks of up to 20 factors for ``analyze`` on
+    a stream and the CLI's ``product``, with bit-identical states.
     """
     ahead = state._next
     if ahead is not None and ahead[0] is a and ahead[1] is cert:

@@ -133,6 +133,24 @@ class TestProduct:
         assert code == 0 and "dense cross-check: OK (|diff| <= 1e-11)" in out
         assert f"X:\n{fmt_matrix(state.x)}\ngamma:\n{fmt_matrix(state.gamma)}\n" in out
 
+    def test_failure_inside_the_engine_writes_nothing(self, capsys, tmp_path):
+        # the certificate holds, and the second factor's I - C is singular to
+        # working precision, which only the step engine finds, at step 2
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({
+            "kind": "finite", "s": 1, "d": 2,
+            "matrices": [{"B": [[1]], "C": [[0.5]]}, {"B": [[1]], "C": [[0.999999999999999]]}],
+            "norm": "inf", "rate": 0.9999999999999999,
+        }))
+        trace = tmp_path / "out.csv"
+        code, out, err = run(
+            capsys, "product", "--input", str(path), "--n", "5", "--trace", str(trace)
+        )
+        assert code == 3 and out == "" and not trace.exists()
+        assert err == (
+            "analysis refused: matrix singular to working precision (min pivot 9.992e-16)\n"
+        )
+
     def test_memory_does_not_grow_with_n(self, capsys):
         # the factors are fed one chunk at a time, never as a list of all n
         argv = ("product", "--input", str(FIXTURES / "constant.json"), "--n")

@@ -42,6 +42,7 @@ from blockprod.matrixcore import (
 from conftest import random_complex
 
 NILPOTENT = np.array([[0.0, 2.0], [0.0, 0.0]])
+BIG = np.finfo(np.float64).max
 
 
 def triple_loop_matmul(a, b):
@@ -320,12 +321,14 @@ class TestNormValue:
             [[2.0, 1.0], [1.0 + 5e-6, 2.0]],
             [[-1.0]],
             [[1.0, 0.0]],
+            [[BIG, -BIG], [BIG, BIG]],  # p - p* overflows: no warning either
         ],
         ids=[
             "not_hermitian",
             "hermitian_only_relatively",
             "not_positive_definite",
             "not_square",
+            "huge_not_hermitian",
         ],
     )
     def test_direct_construction_validates_scaling(self, p):
@@ -337,6 +340,32 @@ class TestNormValue:
         kind = MatrixNorm("lyapunov", p)
         assert np.array_equal(kind.scaling, kind.scaling.conj().T)
         assert np.array_equal(kind.scaling, lyapunov_norm(p).scaling)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.diag([BIG, 1.0]),
+            BIG * np.array([[1.0, 0.5], [0.5, 1.0]]),
+            BIG * np.array([[1.0, 0.5j], [-0.5j, 1.0]]),
+            BIG * np.array([[1.0, 0.9], [0.9, 1.0]]),
+        ],
+        ids=["diagonal", "real", "complex", "near_singular"],
+    )
+    def test_scaling_with_the_largest_doubles(self, p):
+        # p + p* overflows, so the halves are summed: p itself is stored,
+        # with no warning (pytest turns warnings into errors)
+        kind = lyapunov_norm(p)
+        assert np.array_equal(kind.scaling, p)
+        assert norm_value(0.5 * np.eye(2), kind) == pytest.approx(0.5, rel=1e-12)
+
+    def test_symmetrised_sum_is_kept_when_it_is_finite(self):
+        # subnormal off-diagonal entries of 1 and 2 units in the last place:
+        # 0.5 * (1 + 2) rounds to 2 units, 0.5 * 1 + 0.5 * 2 to 1
+        tiny = np.nextafter(0.0, 1.0)
+        p = np.array([[1.0, tiny], [2 * tiny, 1.0]])
+        stored = lyapunov_norm(p).scaling
+        assert stored[0, 1] == stored[1, 0] == 2 * tiny
+        assert np.array_equal(stored, 0.5 * (p + p.conj().T))
 
     def test_equality_compares_scaling(self):
         # the two norms measure [[0, 1], [0, 0]] as 1 and 0.1
