@@ -331,7 +331,7 @@ def _analyze_stream(
         )
     detector = _StreakDetector(cfg, cert, "limit candidate", lambda l: l)
     trace: list[TraceRow] = []
-    for state, chunk, done in _run(seq.factors, cert, cfg.horizon, traced=True):
+    for state, chunk, done in _run(seq.factors, cert, cfg.horizon):
         fired = detector.update(done.ls, [st.norm_y for st in done.states])
         taken = len(done.states) if fired is None else fired[0] + 1
         # one public step per factor returns the state the chunk computed:

@@ -70,7 +70,7 @@ def cmd_product(args) -> int:
     prefix, cycle = doc.members[:split], doc.members[split:]
     factors = itertools.chain(prefix, itertools.cycle(cycle))
     rows = []
-    for _, _, done in _run(factors, cert, args.n, traced=bool(args.trace)):
+    for _, _, done in _run(factors, cert, args.n):
         rows += [trace_row(st, cert) for st in done.states] if args.trace else []
     state = done.states[-1]  # every step was taken, and --n >= 1
     dense = _dense_cycle_product(prefix, cycle, args.n)

@@ -116,6 +116,11 @@ def lyapunov_norm(p) -> MatrixNorm:
     return MatrixNorm("lyapunov", p)
 
 
+def _exponent(m: np.ndarray) -> int:
+    """The k with max(|Re m|, |Im m|) in [2^(k-1), 2^k), for a nonzero m."""
+    return int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+
+
 def _lyapunov_value(m: np.ndarray, p: np.ndarray) -> float:
     if m.shape[1] != p.shape[0]:
         raise ShapeError(
@@ -124,8 +129,14 @@ def _lyapunov_value(m: np.ndarray, p: np.ndarray) -> float:
         )
     if m.shape[0] == m.shape[1]:
         # induced norm between |.|_P and itself: largest generalized
-        # eigenvalue of (M* P M, P)
-        a = m.conj().T @ p @ m
+        # eigenvalue of (M* P M, P), which (c M* P M, c P) shares
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = m.conj().T @ p @ m
+        if np.count_nonzero(np.isfinite(a)) != a.size:  # so finite ones keep their bits
+            # ||M|| = 2^k ||2^-k M||: 2^-k M of unit size, 2^-j P below overflow
+            k, j = _exponent(m), max(0, _exponent(p) + 2 * len(p).bit_length() - 1020)
+            with np.errstate(over="ignore"):  # a norm above the largest double
+                return float(np.ldexp(_lyapunov_value(m * 2.0**-k, p * 2.0**-j), k))
         w = scipy.linalg.eigh(0.5 * (a + a.conj().T), p, eigvals_only=True)
         return float(np.sqrt(max(w[-1], 0.0)))
     # rectangular carrier: operator norm from |.|_P into the Euclidean norm;
@@ -369,8 +380,8 @@ class ContractionCertificate:
 
     def check(self, a: BlockUpperTriangular, step: int) -> None:
         """Check the C-block of factor *a*, validated when *a* was built,
-        against this certificate; a C-block whose norm exceeds the rate by
-        any amount raises :class:`CertificateViolationError` naming *step*."""
+        against this certificate: a norm not at most the rate (no slack; NaN
+        fails) raises :class:`CertificateViolationError` naming *step*."""
         violation = self._violation(a.c[None], step)
         if violation is not None:
             raise violation
@@ -380,9 +391,9 @@ class ContractionCertificate:
     ) -> CertificateViolationError | None:
         """The violation of :meth:`check` by the first C-block of the stack
         *cs*, the C-blocks of steps *first*, *first* + 1, ..., whose norm
-        exceeds the rate, or None."""
+        exceeds the rate or is NaN, or None."""
         for i, val in enumerate(_norms(cs, self.norm).tolist()):
-            if val > self.rate:
+            if not val <= self.rate:
                 return CertificateViolationError(first + i, val, self.rate)
         return None
 

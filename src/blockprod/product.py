@@ -63,12 +63,12 @@ class ProductState:
     candidate is ``l - y_prev``), and ``bound`` a
     certified upper bound on the deviation in the certificate norm.
     ``identity_residual`` records how well the one-step deviation identity
-    was satisfied numerically.  ``norm_x``, ``norm_d`` and ``norm_y`` are
-    the norms of ``x``, ``d_dev`` and ``y_prev`` in the certificate norm the
-    state was stepped under, computed once by the step engine (0 for the
-    empty product, and ``norm_y`` 0 while ``y_prev`` is None).  A state the
-    engine computed may be a view into the buffers of its chunk; no later
-    chunk writes to them.
+    was satisfied numerically.  ``norm_x``, ``norm_d``, ``norm_y`` and
+    ``norm_gamma`` are the norms of ``x``, ``d_dev``, ``y_prev`` and ``gamma``
+    in the certificate norm the state was stepped under, computed once by the
+    step engine (0, and ``norm_gamma`` None, unless the engine stepped it;
+    ``norm_y`` 0 while ``y_prev`` is None).  A state the engine computed may
+    be a view into the buffers of its chunk; no later chunk writes to them.
     """
 
     n: int
@@ -82,25 +82,21 @@ class ProductState:
     norm_x: float = 0.0
     norm_d: float = 0.0
     norm_y: float = 0.0
+    norm_gamma: float | None = None
     #: the step :func:`_advance` took from this state, as (factor,
     #: certificate, weak reference to the next state), for :func:`step`
     _next: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    #: (norm, ||gamma||) when a traced :func:`_advance` evaluated it, for
-    #: :func:`trace_row`
-    _norm_gamma: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __init__(
         self, n, x, gamma, l, d_dev, y_prev, bound,
-        identity_residual=0.0, norm_x=0.0, norm_d=0.0, norm_y=0.0,
+        identity_residual=0.0, norm_x=0.0, norm_d=0.0, norm_y=0.0, norm_gamma=None,
     ):  # fmt: skip
         # the fields in one update of the instance dict, in half the time of
         # the generated __init__, which sets each by object.__setattr__
         vars(self).update(
             n=n, x=x, gamma=gamma, l=l, d_dev=d_dev, y_prev=y_prev, bound=bound,
             identity_residual=identity_residual, norm_x=norm_x, norm_d=norm_d,
-            norm_y=norm_y, _next=None, _norm_gamma=None,
+            norm_y=norm_y, norm_gamma=norm_gamma, _next=None,
         )  # fmt: skip
 
 
@@ -178,23 +174,22 @@ def _advance(
     state: ProductState,
     factors: Sequence[BlockUpperTriangular],
     cert: ContractionCertificate,
-    traced: bool = False,
 ) -> _Steps:
     """Append the conforming factors of one chunk to the partial product,
     with every check of :func:`step` on every factor.
 
     Only X_n and Gamma_n are stepped one factor at a time.  The member
-    check, the limit candidates, D_n, Y_n, the identity residuals and the
-    norms of X_n, D_n, Y_n and the residuals take one stacked call each for
-    the chunk.  Each stacked value is bit-identical to the one-matrix call,
-    because every matrix in a stack is C-contiguous, as the arrays of a
-    single step are.  A failing check ends the chunk at its step, in the
-    order shape, certificate, limit, identity within a step.  The failure
-    is returned, not raised, so that a caller can first use the steps
-    before it.  *state* and each state taken keep a weak reference to their
-    successor, which :func:`step` returns while it is alive.  With *traced*,
-    ||Gamma_n|| is evaluated in the same pass and kept for
-    :func:`trace_row`.
+    check, the limit candidates, D_n, Y_n, the identity residuals, the
+    norms of X_n, D_n, Y_n and the residuals, and the norms of Gamma_n take
+    one stacked call each for the chunk.  Each stacked value is
+    bit-identical to the one-matrix call, because every matrix in a stack
+    is C-contiguous, as the arrays of a single step are.  A failing check
+    ends the chunk at its step, in the order shape, certificate, limit,
+    identity within a step.  The failure is returned, not raised, so that a
+    caller can first use the steps before it.  *state* and each state taken
+    keep a weak reference to their successor, which :func:`step` returns
+    while it is alive.  *cert* must be a :class:`ContractionCertificate`;
+    :func:`step` and :func:`_run` check that where it enters.
     """
     n0, k = state.n, len(factors)
     error: BlockprodError | None = None
@@ -206,7 +201,6 @@ def _advance(
             )
             break
     if k:
-        cert = require_per_factor(cert)
         cs = _stack([a.c for a in factors[:k]])
         violation = cert._violation(cs, n0 + 1)
         if violation is not None:
@@ -235,7 +229,7 @@ def _advance(
     np.subtract(d, residual @ cs[:k], out=residual)
     norms = _norms(quantities.reshape(4 * k, *x.shape), cert.norm).reshape(4, k)
     norm_x, norm_d, norm_y, norm_r = norms.tolist()
-    norm_gamma = _norms(_stack(gammas), cert.norm).tolist() if traced else None
+    norm_gamma = _norms(_stack(gammas), cert.norm).tolist()
 
     states, prev = [], state
     for i in range(k):
@@ -251,10 +245,8 @@ def _advance(
             y_prev, bound = y[i], (prev.bound + norm_y[i]) * cert.rate
         new = ProductState(
             n, xs[i], gammas[i], ls[i], d[i], y_prev, bound,
-            norm_r[i], norm_x[i], norm_d[i], norm_y[i],
+            norm_r[i], norm_x[i], norm_d[i], norm_y[i], norm_gamma[i],
         )  # fmt: skip
-        if norm_gamma is not None:
-            object.__setattr__(new, "_norm_gamma", (cert.norm, norm_gamma[i]))
         object.__setattr__(prev, "_next", (factors[i], cert, weakref.ref(new)))
         states.append(new)
         prev = new
@@ -265,17 +257,16 @@ def _run(
     factors: Iterable[BlockUpperTriangular],
     cert: ContractionCertificate,
     horizon: int,
-    traced: bool = False,
 ) -> Iterator[tuple[ProductState, list[BlockUpperTriangular], _Steps]]:
     """The engine on the first *horizon* factors that :func:`_stream_chunks`
     reads, from the empty product: per chunk, the state before it, the chunk
     and its :class:`_Steps`.  A chunk's or the reader's failure is raised
     only when the next chunk is asked for, after the consumer used this one."""
-    state = None
+    cert, state = require_per_factor(cert), None
     for chunk in _stream_chunks(factors, horizon):
         if state is None:
             state = initial_state(chunk[0].s, chunk[0].csize)
-        done = _advance(state, chunk, cert, traced)
+        done = _advance(state, chunk, cert)
         yield state, chunk, done
         if done.error is not None:
             raise done.error
@@ -302,17 +293,17 @@ def step(
 
     The factor's blocks were validated when it was built, so nothing is
     validated again here: the limit candidate is the factor's cached
-    :attr:`~BlockUpperTriangular.limit`, and ||X_n||, ||D_n|| and ||Y_n||
-    are evaluated once each and kept on the returned state.  :func:`_run`
-    drives the same engine on chunks of up to 20 factors for ``analyze`` on
-    a stream and the CLI's ``product``, with bit-identical states.
+    :attr:`~BlockUpperTriangular.limit`, and ||X_n||, ||D_n||, ||Y_n|| and
+    ||Gamma_n|| are evaluated once each and kept on the returned state.
+    :func:`_run` drives the same engine on chunks of up to 20 factors for
+    stream ``analyze`` and CLI ``product``, with bit-identical states.
     """
     ahead = state._next
     if ahead is not None and ahead[0] is a and ahead[1] is cert:
         new = ahead[2]()
         if new is not None:
             return new
-    done = _advance(state, (a,), cert)
+    done = _advance(state, (a,), require_per_factor(cert))
     if done.error is not None:
         raise done.error
     return done.states[0]
@@ -396,13 +387,10 @@ class TraceRow(NamedTuple):
 
 def trace_row(state: ProductState, cert: ContractionCertificate) -> TraceRow:
     """The diagnostics of *state*, which must have been stepped under *cert*:
-    norm_X, norm_Y and norm_D are the norms :func:`step` kept on it, and
-    norm_gamma is evaluated here unless the traced chunk that computed
-    *state* evaluated it under the same norm."""
-    kept = state._norm_gamma
-    if kept is not None and kept[0] is cert.norm:
-        norm_gamma = kept[1]
-    else:
+    the norms :func:`step` kept on it.  Only when it kept no ||Gamma_n||, on
+    the empty product and a state built by hand, is that evaluated here."""
+    norm_gamma = state.norm_gamma
+    if norm_gamma is None:
         norm_gamma = _norm(state.gamma, cert.norm)
     return TraceRow(
         state.n, state.norm_x, state.norm_y, state.norm_d, state.bound, norm_gamma

@@ -194,6 +194,25 @@ class TestOneCandidateComparison:
         assert finite.certificate is tail.certificate is declared
 
 
+#: C = 0.5 with B = 1 and B = 1 + 5e-12: the exact limit candidates 2 and
+#: 2 + 1e-11 differ, so the exact product of the cycle oscillates
+NEAR_TIE = (A_HALF, BlockUpperTriangular(1, [[1 + 5e-12]], [[0.5]]))
+
+
+class TestExactCandidates:
+    """A gap between limit candidates below the tolerance is certified today
+    (ROADMAP item 1); these pin the defect until it is mended."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_near_tie_cycle_is_not_certified_converged(self):
+        report = analyze(Periodic(NEAR_TIE))
+        assert report.verdict is not Verdict.CERTIFIED_CONVERGED
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_near_tie_set_is_not_certified_rcp(self):
+        assert certify_rcp(NEAR_TIE).is_rcp is not True
+
+
 class TestOneCycleRule:
     @pytest.mark.parametrize(
         "c,kind",

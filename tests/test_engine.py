@@ -15,7 +15,9 @@ from blockprod import (
     CertificateViolationError,
     ContractionCertificate,
     DeviationIdentityError,
+    GelfandCertificate,
     INF_NORM,
+    InvalidCertificateError,
     ShapeError,
     SingularMatrixError,
     Stream,
@@ -29,7 +31,7 @@ from blockprod import (
     step,
     trace_row,
 )
-from blockprod.product import IDENTITY_TOL, TraceRow, _advance, _chunk_length
+from blockprod.product import IDENTITY_TOL, TraceRow, _advance, _chunk_length, _run
 from conftest import random_block, random_complex
 
 A_HALF = BlockUpperTriangular(1, [[1.0]], [[0.5]])
@@ -54,6 +56,7 @@ def reference_run(seq, cert, state):
             return states, CertificateViolationError(n, val, cert.rate)
         x = a.b + state.x @ a.c
         gamma = state.gamma @ a.c
+        norm_gamma = norm_value(gamma, cert.norm)
         try:
             l = solve_right(a.b, np.eye(a.csize) - a.c)
         except SingularMatrixError as exc:
@@ -74,6 +77,7 @@ def reference_run(seq, cert, state):
         state = replace(
             state, n=n, x=x, gamma=gamma, l=l, d_dev=d, y_prev=y, bound=bound,
             identity_residual=residual, norm_x=norm_x, norm_d=norm_d, norm_y=norm_y,
+            norm_gamma=norm_gamma,
         )
         states.append(state)
     return states, None
@@ -94,7 +98,8 @@ def same_state(u, v):
         )
         and all(
             float(getattr(u, f)).hex() == float(getattr(v, f)).hex()
-            for f in ("bound", "identity_residual", "norm_x", "norm_d", "norm_y")
+            for f in ("bound", "identity_residual", "norm_x", "norm_d", "norm_y",
+                      "norm_gamma")
         )
     )
 
@@ -182,7 +187,7 @@ class TestChunkSplits:
         for size in itertools.cycle(splits):
             if i >= len(todo) or chunk_error is not None:
                 break
-            done = _advance(state, todo[i : i + size], cert, traced=True)
+            done = _advance(state, todo[i : i + size], cert)
             chunked += done.states
             rows += [trace_row(st, cert) for st in done.states]
             assert len(done.ls) == len(done.states)
@@ -194,13 +199,29 @@ class TestChunkSplits:
             assert same_state(r, u) and same_state(r, v)
         assert same_error(ref_error, single_error)
         assert same_error(ref_error, chunk_error)
-        # rows kept by a traced chunk are the rows trace_row evaluates itself
+        # each row reads ||Gamma_n|| from its state, the public norm_value's
         for row, st in zip(rows, ref_states):
             expected = TraceRow(
                 st.n, st.norm_x, st.norm_y, st.norm_d, st.bound,
                 norm_value(st.gamma, cert.norm),
             )
             assert [float(v).hex() for v in row] == [float(v).hex() for v in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=engine_cases())
+    def test_run_matches_the_reference(self, case):
+        cert, seq, _, _ = case
+        state0 = initial_state(seq[0].s, seq[0].csize)
+        ref_states, ref_error = reference_run(seq, cert, state0)
+        states, error = [], None
+        try:
+            for _, _, done in _run(iter(seq), cert, len(seq)):
+                states += done.states
+        except Exception as exc:
+            error = exc
+        assert len(states) == len(ref_states)
+        assert all(same_state(r, u) for r, u in zip(ref_states, states))
+        assert type(error) is type(ref_error)
 
 
 class TestChunkFailures:
@@ -246,6 +267,11 @@ class TestChunkFailures:
         other = BlockUpperTriangular(1, [[1.0]], [[0.5]])
         assert step(state, other, RATE_NEAR_ONE) is not done.states[0]
         assert step(replace(state), A_HALF, RATE_NEAR_ONE) is not done.states[0]
+
+    def test_run_checks_the_certificate_where_it_enters(self):
+        gelfand = GelfandCertificate(INF_NORM, 0.5, 2)
+        with pytest.raises(InvalidCertificateError, match="gelfand"):
+            next(_run(iter([A_HALF]), gelfand, 5))
 
     def test_repeated_factor_is_factored_once(self, lu_solves):
         a = BlockUpperTriangular(2, np.ones((2, 3)), 0.1 * np.eye(3))

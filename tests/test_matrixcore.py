@@ -21,6 +21,8 @@ from blockprod import (
     ONE_NORM,
     ShapeError,
     SingularMatrixError,
+    Stream,
+    analyze,
     as_matrix,
     lyapunov_norm,
     lyapunov_scaling,
@@ -367,6 +369,35 @@ class TestNormValue:
         assert stored[0, 1] == stored[1, 0] == 2 * tiny
         assert np.array_equal(stored, 0.5 * (p + p.conj().T))
 
+    @pytest.mark.parametrize(
+        "m, p, value, rel",
+        [
+            (2 * np.eye(2), np.diag([8e307, 1.0]), 2.0, 0),
+            (1e200 * np.eye(2), np.eye(2), 1e200, 0),
+            (np.diag([3, 1]) * (1 + 1j), np.diag([BIG, 1e-300]), 3 * 2**0.5, 1e-15),
+            (np.full((3, 3), complex(BIG, BIG)), BIG * np.eye(3), np.inf, 0),
+        ],
+        ids=["huge_scaling", "huge_matrix", "both", "norm_above_the_largest_double"],
+    )
+    def test_overflowing_gram_product_is_scaled(self, m, p, value, rel):
+        # M* P M overflows, so the value is 2^k ||2^-k M|| under 2^-j P, with
+        # no warning (pytest turns warnings into errors)
+        assert norm_value(m, lyapunov_norm(p)) == pytest.approx(value, rel=rel, abs=0)
+
+    def test_finite_gram_product_keeps_its_bits(self, rng):
+        # scaling every evaluation by powers of two moves the last bits of
+        # many values, so only an overflowing product is scaled
+        for _ in range(200):
+            n = rng.integers(1, 6)
+            h = random_complex(rng, n, n)
+            g = h @ h.conj().T
+            p = (g + g.conj().T + np.eye(n)) * 10.0 ** rng.integers(-20, 20)
+            m = random_complex(rng, n, n) * 10.0 ** rng.integers(-20, 20)
+            a = m.conj().T @ p @ m
+            w = scipy.linalg.eigh(0.5 * (a + a.conj().T), p, eigvals_only=True)
+            expected = float(np.sqrt(max(w[-1], 0.0)))
+            assert norm_value(m, lyapunov_norm(p)) == expected
+
     def test_equality_compares_scaling(self):
         # the two norms measure [[0, 1], [0, 0]] as 1 and 0.1
         a, b = lyapunov_norm(np.eye(2)), lyapunov_norm(np.diag([1.0, 100.0]))
@@ -532,6 +563,23 @@ class TestCertificateSearch:
             "step 3: ||C|| = 0.99999999999990008 exceeds declared rate "
             "0.99999999999989997"
         )
+
+    def test_check_under_a_huge_scaling(self):
+        # M* P M overflows for C = 2 I under this P; ||C|| is still 2
+        cert = ContractionCertificate(lyapunov_norm(np.diag([8e307, 1.0])), 0.5)
+        a = BlockUpperTriangular(1, [[1.0, 0.0]], 2 * np.eye(2))
+        with pytest.raises(CertificateViolationError, match="step 1: .* = 2 exceeds"):
+            cert.check(a, 1)
+        with pytest.raises(CertificateViolationError, match="step 1: .* = 2 exceeds"):
+            analyze(Stream(iter([a] * 3)), cert=cert)
+
+    def test_check_refuses_a_norm_that_evaluates_to_nan(self):
+        # under a P of condition number 1e600 the generalized eigensolver
+        # reads ||C|| = 1e296 as NaN, which must not pass as a contraction
+        cert = ContractionCertificate(lyapunov_norm(np.diag([1e300, 1e-300])), 0.5)
+        a = BlockUpperTriangular(1, [[1.0, 0.0]], [[0.0, 1e-4], [0.0, 0.0]])
+        with pytest.raises(CertificateViolationError, match="step 4: .* = nan"):
+            cert.check(a, 4)
 
     def test_matrices_equal_up_to_signed_zeros_are_one(self):
         signed = NILPOTENT.copy()

@@ -22,6 +22,7 @@ from blockprod import (
     initial_state,
     left_product_init,
     left_product_step,
+    lyapunov_norm,
     norm_value,
     spectral_certificate,
     step,
@@ -56,17 +57,17 @@ def run(seq, cert):
 
 class TestProductState:
     FIELDS = ["n", "x", "gamma", "l", "d_dev", "y_prev", "bound"]
-    FIELDS += ["identity_residual", "norm_x", "norm_d", "norm_y"]
+    FIELDS += ["identity_residual", "norm_x", "norm_d", "norm_y", "norm_gamma"]
 
     def test_constructor_takes_every_field_by_position_or_keyword(self):
         x, gamma = np.ones((1, 2), dtype=complex), np.eye(2, dtype=complex)
-        args = (3, x, gamma, 2 * x, -x, x / 4, 0.5, 1e-17, 1.0, 2.0, 0.25)
+        args = (3, x, gamma, 2 * x, -x, x / 4, 0.5, 1e-17, 1.0, 2.0, 0.25, 1.5)
         assert [f.name for f in fields(ProductState) if f.init] == self.FIELDS
         by_position = ProductState(*args)
         by_keyword = ProductState(**dict(zip(self.FIELDS, args)))
         for state in (by_position, by_keyword):
             assert all(getattr(state, f) is a for f, a in zip(self.FIELDS, args))
-            assert state._next is None and state._norm_gamma is None
+            assert state._next is None
         assert repr(by_position) == repr(by_keyword)
         assert repr(by_position).startswith("ProductState(n=3, x=array(")
         with pytest.raises(FrozenInstanceError):
@@ -76,11 +77,11 @@ class TestProductState:
         x = np.zeros((1, 1), dtype=complex)
         state = ProductState(0, x, x, x, x, None, 0.0)
         assert (state.identity_residual, state.norm_x, state.norm_d) == (0, 0, 0)
-        assert state.norm_y == 0.0
+        assert state.norm_y == 0.0 and state.norm_gamma is None
         done = run([A_HALF], CERT_HALF)[0]
         again = replace(done, bound=1.0)
         assert again.bound == 1.0 and again.x is done.x and again._next is None
-        assert again._norm_gamma is None
+        assert again.norm_gamma == done.norm_gamma == 0.5
 
 
 class TestStep:
@@ -422,3 +423,15 @@ class TestTraceRow:
         assert row.bound == pytest.approx(0.5)
         assert row.norm_gamma == pytest.approx(0.25)
         assert row.bound >= row.norm_D - 1e-10
+
+    @pytest.mark.parametrize("kind", ["inf", "fro", "lyapunov"])
+    def test_evaluates_the_norm_of_gamma_where_none_was_kept(self, rng, kind):
+        norms = {n.kind: n for n in BUILTIN_NORMS}
+        norms["lyapunov"] = lyapunov_norm([[2.0, 0.5], [0.5, 1.0]])
+        cert = ContractionCertificate(norms[kind], 0.5)
+        empty = initial_state(1, 2)
+        assert empty.norm_gamma is None
+        assert trace_row(empty, cert).norm_gamma == norm_value(np.eye(2), cert.norm)
+        x, gamma = np.zeros((1, 2), dtype=complex), random_complex(rng, 2, 2)
+        by_hand = ProductState(3, x, gamma, x, x, None, 0.0)
+        assert trace_row(by_hand, cert).norm_gamma == norm_value(gamma, cert.norm)
