@@ -4,10 +4,10 @@ right linear solves, and contraction certification.
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The helpers
 here enforce the invariants (2-D, finite entries) at construction points; all
 operations are pure.  The public :func:`norm_value` and :func:`solve_right`
-validate their inputs and then call the private ``_norm`` and
-``_solve_right_each``.  The step engine calls ``_norms``, the stacked form
-of ``_norm``, and ``_solve_right_each`` directly on matrices that were
-validated when their factor was built.
+validate their inputs and then call the private ``_norms``, the one norm
+evaluator, on a one-matrix stack, and ``_solve_right_each``.  The step
+engine calls both directly on stacks of matrices that were validated when
+their factor was built.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ class MatrixNorm:
     carries the Hermitian positive definite scaling matrix P and measures a
     square matrix M as the operator norm of x -> Mx between the vector norms
     |x|_P = sqrt(x* P x).  P is checked (:class:`ShapeError` unless square,
-    Hermitian to 1e-12 and positive definite) and stored symmetrised.  Two
-    norms are equal when their kinds and scalings are.
+    nonempty, Hermitian to 1e-12 and positive definite) and stored
+    symmetrised, with its Cholesky factor.  Two norms are equal when their
+    kinds and scalings are.
     """
 
     kind: str
@@ -84,6 +85,8 @@ class MatrixNorm:
         p = as_matrix(self.scaling)
         if p.shape[0] != p.shape[1]:
             raise ShapeError("scaling matrix must be square")
+        if not p.size:
+            raise ShapeError("scaling matrix must be nonempty")
         with np.errstate(over="ignore", invalid="ignore"):  # p -/+ p* may overflow
             if not np.allclose(p, p.conj().T, rtol=0, atol=1e-12):
                 raise ShapeError("scaling matrix must be Hermitian (atol 1e-12)")
@@ -91,10 +94,14 @@ class MatrixNorm:
         if np.count_nonzero(np.isfinite(h)) != h.size:
             h = 0.5 * p + 0.5 * p.conj().T  # exactly Hermitian, and finite
         try:
-            np.linalg.cholesky(p)
+            lt = np.linalg.cholesky(h).conj().T
         except np.linalg.LinAlgError:
             raise ShapeError("scaling matrix must be positive definite") from None
         object.__setattr__(self, "scaling", h)
+        # P = L L*, so |x|_P = |L* x|_2; private attributes, not fields
+        object.__setattr__(self, "_lt", lt)
+        lt_inv = scipy.linalg.solve_triangular(lt, np.eye(len(h)))
+        object.__setattr__(self, "_lt_inv", lt_inv)
 
     def __eq__(self, other):
         # the generated hash covers only ``kind``, which equal norms share
@@ -116,50 +123,9 @@ def lyapunov_norm(p) -> MatrixNorm:
     return MatrixNorm("lyapunov", p)
 
 
-def _exponent(m: np.ndarray) -> int:
-    """The k with max(|Re m|, |Im m|) in [2^(k-1), 2^k), for a nonzero m."""
-    return int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
-
-
-def _lyapunov_value(m: np.ndarray, p: np.ndarray) -> float:
-    if m.shape[1] != p.shape[0]:
-        raise ShapeError(
-            f"matrix with {m.shape[1]} columns does not conform to "
-            f"{p.shape[0]}x{p.shape[0]} scaling"
-        )
-    if m.shape[0] == m.shape[1]:
-        # induced norm between |.|_P and itself: largest generalized
-        # eigenvalue of (M* P M, P), which (c M* P M, c P) shares
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = m.conj().T @ p @ m
-        if np.count_nonzero(np.isfinite(a)) != a.size:  # so finite ones keep their bits
-            # ||M|| = 2^k ||2^-k M||: 2^-k M of unit size, 2^-j P below overflow
-            k, j = _exponent(m), max(0, _exponent(p) + 2 * len(p).bit_length() - 1020)
-            with np.errstate(over="ignore"):  # a norm above the largest double
-                return float(np.ldexp(_lyapunov_value(m * 2.0**-k, p * 2.0**-j), k))
-        w = scipy.linalg.eigh(0.5 * (a + a.conj().T), p, eigvals_only=True)
-        return float(np.sqrt(max(w[-1], 0.0)))
-    # rectangular carrier: operator norm from |.|_P into the Euclidean norm;
-    # still consistent with the square case on the right (||MC|| <= ||M|| ||C||_P)
-    l = np.linalg.cholesky(p)
-    x = scipy.linalg.solve_triangular(l, m.conj().T, lower=True).conj().T
-    return float(np.linalg.norm(x, 2))
-
-
 def norm_value(m, kind: MatrixNorm) -> float:
-    """Evaluate the norm *kind* on matrix *m*."""
-    return _norm(as_matrix(m), kind)
-
-
-def _norm(m: np.ndarray, kind: MatrixNorm) -> float:
-    """:func:`norm_value` of a validated complex 2-D array."""
-    if kind.kind == "one":
-        return float(np.abs(m).sum(axis=0).max()) if m.size else 0.0
-    if kind.kind == "inf":
-        return float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
-    if kind.kind == "fro":
-        return float(np.linalg.norm(m))
-    return _lyapunov_value(m, kind.scaling)
+    """Evaluate the norm *kind* on matrix *m*, whatever its memory layout."""
+    return float(_norms(np.ascontiguousarray(as_matrix(m))[None], kind)[0])
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -169,19 +135,45 @@ def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _norms(st: np.ndarray, kind: MatrixNorm) -> np.ndarray:
-    """The norms *kind* of the nonempty matrices of a stack *st* of shape
-    (k, r, c), each bit-identical to :func:`_norm` of the matrix when the
-    matrix is C-contiguous: every reduction then adds in the same order."""
+    """The norms *kind* of the matrices of a C-contiguous stack *st* of shape
+    (k, r, c), each bit-identical to that of its matrix as a one-matrix stack.
+    With P = L L*, a Lyapunov norm is ||L* M L^-*||_2 on a square M (from
+    |.|_P to itself) and ||M L^-*||_2 on a rectangular one (from |.|_P to the
+    Euclidean norm, consistent on the right: ||MC|| <= ||M|| ||C||_P); where
+    that is not finite, 2^e ||2^-e M|| with 2^-e M of unit size, else NaN."""
     if kind.kind == "one":
-        return np.abs(st).sum(axis=-2).max(axis=-1)
+        return np.abs(st).sum(axis=-2).max(axis=-1, initial=0.0)
     if kind.kind == "inf":
-        return np.abs(st).sum(axis=-1).max(axis=-1)
+        return np.abs(st).sum(axis=-1).max(axis=-1, initial=0.0)
     if kind.kind == "fro":
         # np.linalg.norm's sum: BLAS dot products of the real and of the
         # imaginary parts, strided views of the flattened matrix
         f = st.reshape(len(st), -1)
         return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
-    return np.array([_lyapunov_value(m, kind.scaling) for m in st])
+    n = len(kind.scaling)
+    if st.shape[2] != n:
+        raise ShapeError(
+            f"matrix with {st.shape[2]} columns does not conform to {n}x{n} scaling"
+        )
+
+    def lyapunov(st):
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = st @ kind._lt_inv
+            if st.shape[1] == n:
+                w = kind._lt @ w
+        finite = np.isfinite(w).all(axis=(1, 2))
+        w[~finite] = 0.0  # an SVD of inf raises
+        return np.where(finite, np.linalg.norm(w, 2, axis=(1, 2)), np.nan)
+
+    values = lyapunov(st)
+    bad = ~np.isfinite(values)  # an SVD near the largest double reads NaN
+    if bad.any():
+        m = st[bad]
+        e = np.frexp(np.maximum(abs(m.real), abs(m.imag)).max(axis=(1, 2)))[1]
+        # inf where 2^e ||2^-e M|| is above the largest double
+        with np.errstate(over="ignore", invalid="ignore"):
+            values[bad] = np.ldexp(lyapunov(m * np.ldexp(1.0, -e)[:, None, None]), e)
+    return values
 
 
 def solve_right(b, m) -> np.ndarray:
@@ -340,8 +332,8 @@ def _stein_certificate(cs: list[np.ndarray]) -> ContractionCertificate:
         raise NoContractingNormError(
             "Stein solution is not positive definite; spectral radius >= 1 suspected"
         ) from None
-    rate = max(norm_value(c, norm) for c in cs)
-    if rate >= 1.0:
+    rate = float(_norms(np.array(cs), norm).max())
+    if not rate < 1.0:  # refuses NaN too
         raise NoContractingNormError("constructed norm does not contract the matrix")
     return ContractionCertificate(norm, rate, "lyapunov")
 
@@ -354,6 +346,8 @@ def lyapunov_scaling(c) -> MatrixNorm:
     c = as_matrix(c)
     if c.shape[1] != c.shape[0]:
         raise ShapeError("matrix must be square")
+    if not c.size:
+        raise ShapeError("matrix must be nonempty")
     return _stein_certificate([c]).norm
 
 
@@ -458,9 +452,12 @@ def _certificate_search(
     n = cs[0].shape[0]
     if any(c.shape != (n, n) for c in cs):
         raise ShapeError("matrices must be square and of one order")
+    if not n:
+        raise ShapeError("matrices must be nonempty")
     norms = BUILTIN_NORMS if norm is None else (norm,)
+    st = np.array(cs)
     for candidate in norms:
-        rate = max(_norm(c, candidate) for c in cs)
+        rate = float(_norms(st, candidate).max())
         if rate < 1.0:
             return ContractionCertificate(candidate, rate, "declared")
     if powers and len(cs) == 1:
@@ -468,9 +465,9 @@ def _certificate_search(
         k = 2
         while k <= _GELFAND_MAX_POWER and np.isfinite(power).all():
             for candidate in norms:
-                val = _norm(power, candidate)
+                val = float(_norms(power[None], candidate)[0])
                 if val < 1.0:
-                    return GelfandCertificate(candidate, float(val ** (1.0 / k)), k)
+                    return GelfandCertificate(candidate, val ** (1.0 / k), k)
             power, k = power @ c2, k + 2
     if norm is not None:
         raise NoContractingNormError(f"no {norm.kind} norm below 1 was found")

@@ -26,7 +26,6 @@ from .blockform import BlockUpperTriangular, _limits
 from .errors import BlockprodError, DeviationIdentityError, ShapeError
 from .matrixcore import (
     ContractionCertificate,
-    _norm,
     _norms,
     _stack,
     require_per_factor,
@@ -391,7 +390,8 @@ def trace_row(state: ProductState, cert: ContractionCertificate) -> TraceRow:
     the empty product and a state built by hand, is that evaluated here."""
     norm_gamma = state.norm_gamma
     if norm_gamma is None:
-        norm_gamma = _norm(state.gamma, cert.norm)
+        gamma = np.ascontiguousarray(state.gamma)[None]
+        norm_gamma = float(_norms(gamma, cert.norm)[0])
     return TraceRow(
         state.n, state.norm_x, state.norm_y, state.norm_d, state.bound, norm_gamma
     )

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,15 @@ def test_golden_fixtures(capsys, argv, expected_code, golden):
     code, out, _err = run(capsys, *argv)
     assert code == expected_code
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_golden_lyapunov_norm_is_correctly_rounded():
+    # ||[[0, 2], [0, 0]]|| under P = diag(1, 5) is 2/sqrt(5): the printed d
+    # is the double nearest to it, (d - ulp/2)^2 < 4/5 < (d + ulp/2)^2
+    line = (GOLDEN / "norm_nilpotent.txt").read_text().splitlines()[-1]
+    d = float(line.removeprefix("norm value: "))
+    half = Fraction(math.ulp(d)) / 2
+    assert (Fraction(d) - half) ** 2 < Fraction(4, 5) < (Fraction(d) + half) ** 2
 
 
 class TestProduct:

@@ -31,10 +31,10 @@ from blockprod import (
     spectral_certificate,
     uniform_certificate,
 )
+from blockprod import matrixcore
 from blockprod.matrixcore import (
     _STEIN_SET_MAX_ORDER,
     _certificate_search,
-    _norm,
     _norms,
     _solve_right_each,
     _stein_assembled,
@@ -265,19 +265,41 @@ def matrix_stacks(draw):
     return scale * random_complex(rng, k * rows, cols).reshape(k, rows, cols)
 
 
+def scaling_matrix(rng, n, max_cond=1e12):
+    """A random Hermitian positive definite n x n matrix of condition number
+    up to *max_cond*, times a random power of ten."""
+    q, _ = np.linalg.qr(random_complex(rng, n, n))
+    p = (q * 10.0 ** rng.uniform(0.0, np.log10(max_cond), n)) @ q.conj().T
+    return (p + p.conj().T) * 10.0 ** rng.integers(-20, 20)
+
+
+@st.composite
+def lyapunov_stacks(draw):
+    """A Lyapunov norm of order m <= 12 and a stack of k <= 20 matrices,
+    square or r x m, the shapes the step engine measures."""
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 20))
+    r = m if draw(st.booleans()) else draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-8, 8, (k, 1, 1))
+    norm = lyapunov_norm(scaling_matrix(rng, m))
+    return scale * random_complex(rng, k * r, m).reshape(k, r, m), norm
+
+
 class TestStackedNorms:
     @settings(max_examples=60, deadline=None)
     @given(st_=matrix_stacks())
     def test_bit_identical_to_one_matrix(self, st_):
-        # the step engine relies on this for bit-identical traces
-        for kind in BUILTIN_NORMS:
+        # the step engine relies on this for bit-identical traces; the
+        # reference is np.linalg.norm, the formula of each built-in kind
+        for kind, order in zip(BUILTIN_NORMS, (np.inf, 1, None)):
             got = _norms(st_, kind).tolist()
-            assert got == [_norm(m, kind) for m in st_]
+            assert got == [float(np.linalg.norm(m, order)) for m in st_]
 
-    def test_lyapunov(self, rng):
-        norm = lyapunov_scaling(0.5 * random_complex(rng, 3, 3) / 3)
-        st_ = np.array([random_complex(rng, 2, 3) for _ in range(4)])
-        assert _norms(st_, norm).tolist() == [_norm(m, norm) for m in st_]
+    @settings(max_examples=60, deadline=None)
+    @given(case=lyapunov_stacks())
+    def test_lyapunov(self, case):
+        st_, norm = case
+        assert _norms(st_, norm).tolist() == [norm_value(m, norm) for m in st_]
 
 
 class TestNormValue:
@@ -315,6 +337,8 @@ class TestNormValue:
             lyapunov_norm([[0.0, 1.0], [0.0, 0.0]])  # not Hermitian
         with pytest.raises(ShapeError):
             lyapunov_norm([[-1.0]])  # not positive definite
+        with pytest.raises(ShapeError, match="nonempty"):
+            lyapunov_norm(np.zeros((0, 0)))
 
     @pytest.mark.parametrize(
         "p",
@@ -376,27 +400,63 @@ class TestNormValue:
             (1e200 * np.eye(2), np.eye(2), 1e200, 0),
             (np.diag([3, 1]) * (1 + 1j), np.diag([BIG, 1e-300]), 3 * 2**0.5, 1e-15),
             (np.full((3, 3), complex(BIG, BIG)), BIG * np.eye(3), np.inf, 0),
+            (1e200 * np.ones((1, 2)), 1e-300 * np.eye(2), np.inf, 0),
         ],
-        ids=["huge_scaling", "huge_matrix", "both", "norm_above_the_largest_double"],
+        ids=[
+            "huge_scaling",
+            "huge_matrix",
+            "both",
+            "norm_above_the_largest_double",
+            "rectangular_above_the_largest_double",
+        ],
     )
     def test_overflowing_gram_product_is_scaled(self, m, p, value, rel):
-        # M* P M overflows, so the value is 2^k ||2^-k M|| under 2^-j P, with
-        # no warning (pytest turns warnings into errors)
+        # L* M L^-* (M L^-* if M is rectangular) or its SVD is not finite, so
+        # the value is 2^k ||2^-k M||, with no warning (pytest turns warnings
+        # into errors)
         assert norm_value(m, lyapunov_norm(p)) == pytest.approx(value, rel=rel, abs=0)
 
-    def test_finite_gram_product_keeps_its_bits(self, rng):
-        # scaling every evaluation by powers of two moves the last bits of
-        # many values, so only an overflowing product is scaled
+    def test_ill_conditioned_scaling(self):
+        # the generalized eigensolver read NaN here
+        kind = lyapunov_norm(np.diag([1e300, 1e-300]))
+        assert norm_value([[0.0, 1e-4], [0.0, 0.0]], kind) == 1e296
+
+    @pytest.mark.parametrize("shape", [(0, 0), (1, 0), (0, 3)])
+    @pytest.mark.parametrize("kind", BUILTIN_NORMS, ids=lambda k: k.kind)
+    def test_empty_matrix_has_norm_zero(self, shape, kind):
+        assert norm_value(np.zeros(shape), kind) == 0.0
+
+    def test_empty_matrix_has_lyapunov_norm_zero(self):
+        assert norm_value(np.zeros((0, 3)), lyapunov_norm(np.eye(3))) == 0.0
+
+    def test_ignores_memory_layout(self, rng):
         for _ in range(200):
+            rows, cols = rng.integers(1, 40, 2)
+            m = random_complex(rng, rows, cols)
+            for kind in (*BUILTIN_NORMS, lyapunov_norm(scaling_matrix(rng, cols))):
+                assert norm_value(np.asfortranarray(m), kind) == norm_value(m, kind)
+
+    def test_as_accurate_as_the_generalized_eigensolver(self, rng):
+        # ||M||_P against the exact value for the float inputs, at 200 bits:
+        # within 16 eps of the error of sqrt(lambda_max(M* P M, P)) by eigh
+        mpmath = pytest.importorskip("mpmath")
+        for _ in range(150):
             n = rng.integers(1, 6)
-            h = random_complex(rng, n, n)
-            g = h @ h.conj().T
-            p = (g + g.conj().T + np.eye(n)) * 10.0 ** rng.integers(-20, 20)
+            norm = lyapunov_norm(scaling_matrix(rng, n))
             m = random_complex(rng, n, n) * 10.0 ** rng.integers(-20, 20)
+            p = norm.scaling
             a = m.conj().T @ p @ m
             w = scipy.linalg.eigh(0.5 * (a + a.conj().T), p, eigvals_only=True)
-            expected = float(np.sqrt(max(w[-1], 0.0)))
-            assert norm_value(m, lyapunov_norm(p)) == expected
+            with mpmath.workprec(200):
+                p_, m_ = mpmath.matrix(p.tolist()), mpmath.matrix(m.tolist())
+                l_ = mpmath.cholesky(p_)
+                w_ = l_.H * m_ * (l_ ** -1).H
+                exact = max(mpmath.svd_c(w_, compute_uv=False))
+                errors = [
+                    float(abs(mpmath.mpf(v) - exact) / exact)
+                    for v in (norm_value(m, norm), np.sqrt(w[-1]))
+                ]
+            assert errors[0] <= errors[1] + 16 * np.finfo(float).eps
 
     def test_equality_compares_scaling(self):
         # the two norms measure [[0, 1], [0, 0]] as 1 and 0.1
@@ -453,6 +513,10 @@ class TestLyapunovScaling:
             c *= rng.uniform(0.1, 0.95) / rho
             kind = lyapunov_scaling(c)
             assert norm_value(c, kind) < 1.0
+
+    def test_rejects_empty(self):
+        with pytest.raises(ShapeError, match="nonempty"):
+            lyapunov_scaling(np.zeros((0, 0)))
 
     def test_rejects_expanding(self):
         with pytest.raises(NoContractingNormError):
@@ -573,11 +637,14 @@ class TestCertificateSearch:
         with pytest.raises(CertificateViolationError, match="step 1: .* = 2 exceeds"):
             analyze(Stream(iter([a] * 3)), cert=cert)
 
-    def test_check_refuses_a_norm_that_evaluates_to_nan(self):
-        # under a P of condition number 1e600 the generalized eigensolver
-        # reads ||C|| = 1e296 as NaN, which must not pass as a contraction
-        cert = ContractionCertificate(lyapunov_norm(np.diag([1e300, 1e-300])), 0.5)
-        a = BlockUpperTriangular(1, [[1.0, 0.0]], [[0.0, 1e-4], [0.0, 0.0]])
+    def test_check_refuses_a_norm_that_evaluates_to_nan(self, monkeypatch):
+        # NaN is what the evaluator reads where even the scaled evaluation
+        # is not finite; it must not pass as a contraction
+        cert = ContractionCertificate(lyapunov_norm(np.eye(2)), 0.5)
+        a = BlockUpperTriangular(1, [[1.0, 0.0]], 0.25 * np.eye(2))
+        monkeypatch.setattr(
+            matrixcore, "_norms", lambda st, kind: np.full(len(st), np.nan)
+        )
         with pytest.raises(CertificateViolationError, match="step 4: .* = nan"):
             cert.check(a, 4)
 
@@ -660,6 +727,12 @@ class TestSpectralCertificate:
         assert spectral_certificate([[0.9, 30.0], [0.0, 0.9]], norm) is None
         cert = spectral_certificate(NILPOTENT, norm)
         assert cert.norm == norm and cert.power == 2 and cert.rate == 0.0
+
+    def test_rejects_empty(self):
+        with pytest.raises(ShapeError, match="nonempty"):
+            spectral_certificate(np.zeros((0, 0)))
+        with pytest.raises(ShapeError, match="nonempty"):
+            uniform_certificate([np.zeros((0, 0))])
 
     def test_undecided_is_none(self):
         assert spectral_certificate([[1.5]]) is None
