@@ -91,9 +91,9 @@ def cmd_product(args) -> int:
         f"deviation bound: {fmt_float(state.bound)}",
         f"dense cross-check: {'OK' if ok else 'FAILED'} (|diff| <= 1e-11)",
     ]
-    print("\n".join(out))
-    if args.trace:
+    if args.trace:  # before the report, so that a path it cannot write prints none
         write_trace_csv(args.trace, rows)
+    print("\n".join(out))
     return EXIT_OK if ok else EXIT_REFUSED
 
 

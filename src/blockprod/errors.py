@@ -50,4 +50,5 @@ class AnalysisRefusedError(BlockprodError):
 
 
 class ParseError(BlockprodError, ValueError):
-    """A sequence file is malformed."""
+    """A sequence or matrix file is malformed or cannot be read, or a trace
+    file cannot be written."""

@@ -98,6 +98,16 @@ class TestProduct:
         assert trace.read_text() == (GOLDEN / "trace_constant.csv").read_text()
         assert trace.read_text().splitlines()[0] == TRACE_HEADER
 
+    def test_unwritable_trace_is_parse_error(self, capsys, tmp_path):
+        trace = tmp_path / "missing" / "t.csv"
+        code, out, err = run(
+            capsys,
+            "product", "--input", str(FIXTURES / "constant.json"),
+            "--n", "3", "--trace", str(trace),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: cannot write {trace}: ")
+
     def test_malformed_no_partial_output(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "product", "--input", str(FIXTURES / "malformed.json"), "--n", "2"
@@ -365,7 +375,8 @@ def test_bad_tolerance_is_parse_error(capsys, argv):
     assert code == 2 and out == "" and err.startswith("parse error:")
 
 
-# an over-range B entry, a boolean s, a NaN rate and an infinite matrix entry
+# an over-range B entry, a boolean s, a NaN rate, an infinite matrix entry,
+# and integers past Python's int-conversion digit limit in B and in a matrix
 BAD_NUMBER_FILES = [
     ("certify-rcp", '{"kind": "set", "s": 1, "d": 2,'
      ' "matrices": [{"B": [[1e400]], "C": [[0.5]]}]}'),
@@ -374,11 +385,15 @@ BAD_NUMBER_FILES = [
     ("analyze", '{"kind": "periodic", "s": 1, "d": 2,'
      ' "matrices": [{"B": [[1]], "C": [[0.5]]}], "norm": "inf", "rate": NaN}'),
     ("norm", '{"matrix": [[Infinity]]}'),
+    ("analyze", '{"kind": "periodic", "s": 1, "d": 2,'
+     ' "matrices": [{"B": [[1' + "0" * 5000 + ']], "C": [[0.5]]}]}'),
+    ("norm", '{"matrix": [[1' + "0" * 5000 + ']]}'),
 ]
 
 
 @pytest.mark.parametrize(
-    "command,text", BAD_NUMBER_FILES, ids=["B_1e400", "s_true", "rate_nan", "norm_inf"]
+    "command,text", BAD_NUMBER_FILES,
+    ids=["B_1e400", "s_true", "rate_nan", "norm_inf", "B_5001_digits", "norm_5001_digits"],
 )
 def test_bad_numbers_are_parse_errors(capsys, tmp_path, command, text):
     path = tmp_path / "bad.json"

@@ -1,8 +1,14 @@
+import json
+import math
+import sys
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockprod import BUILTIN_NORMS, ParseError
+from blockprod.cli import main
 from blockprod.product import TraceRow
 from blockprod.seqfile import (
     _array,
@@ -68,6 +74,8 @@ class TestParse:
             lambda t: t.replace("0.25", "1e400"),
             lambda t: t.replace("[[1, [0", "[[1" + "0" * 400 + ", [0"),
             lambda t: t.replace("[0.25, 0.1]", "[1" + "0" * 400 + ", 0.1]"),
+            # past Python's int-conversion digit limit, which json.loads raises
+            lambda t: t.replace("[[1, [0", "[[1" + "0" * 5000 + ", [0"),
             lambda t: t.replace('"s": 1', '"s": true'),
             lambda t: t.replace('"rate": 0.9', '"rate": NaN'),
             lambda t: t.replace('"rate": 0.9', '"rate": 1e400'),
@@ -252,6 +260,232 @@ class TestMatrixFile:
         path.write_text("[[1, 2]]")
         with pytest.raises(ParseError):
             parse_matrix_file(path)
+
+
+def _token(negative: bool, digits: str, point: int, exp, upper: bool) -> str:
+    """A JSON number with *digits*, the point after *point* of them."""
+    whole = digits[:point].lstrip("0") or "0"
+    frac = digits[point:]
+    return (
+        ("-" if negative else "") + whole + ("." + frac if frac else "")
+        + ("" if exp is None else ("E" if upper else "e") + str(exp))
+    )
+
+
+def _midpoint(x: float) -> str:
+    """The exact decimal halfway between *x* and the next double up."""
+    with localcontext() as ctx:
+        ctx.prec = 2000
+        return str((Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2)
+
+
+TINY = 2.2250738585072014e-308  # the smallest normal double
+TOKENS = st.one_of(
+    st.builds(
+        _token,
+        st.booleans(),
+        st.text("0123456789", min_size=1, max_size=40),
+        st.integers(0, 40),
+        st.none() | st.integers(-340, 340),
+        st.booleans(),
+    ),
+    st.floats(allow_nan=False, allow_infinity=False, max_value=1.7e308).map(_midpoint),
+    st.floats(-TINY, TINY).map(_midpoint),
+    st.floats(-TINY, TINY).map(repr),
+    st.floats(-TINY, TINY).map(lambda x: str(Decimal(x))),
+    st.integers(2**64, 2**1024).map(str),
+    st.integers(-(2**1024), -(2**63) - 1).map(str),
+)
+
+
+def _integer_literal(token: str) -> bool:
+    return not any(c in token for c in ".eE")
+
+
+def _expected(token: str) -> float:
+    """The double *token* reads as: ``float`` of its text, correctly rounded.
+    An integer literal is an int first, so -0 reads as +0, as json reads it."""
+    return float(int(token)) if _integer_literal(token) else float(token)
+
+
+def _finite(token: str) -> bool:
+    try:
+        return math.isfinite(_expected(token))
+    except OverflowError:  # an integer beyond the largest double
+        return False
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+class TestDecodeBoundary:
+    """Numbers, documents and nesting as the file readers decode them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tokens=st.lists(TOKENS, min_size=1, max_size=4), data=st.data())
+    def test_every_number_reads_as_float_of_its_text(self, tokens, data, tmp_path_factory):
+        m = len(tokens)
+        # B is all reals (read as one array); each C row mixes a pair with
+        # zeros (read one scalar at a time)
+        c_rows = [
+            "[" + ", ".join(
+                f"[{t}, {tokens[(i + 1) % m]}]" if j == i else "0" for j in range(m)
+            ) + "]"
+            for i, t in enumerate(tokens)
+        ]
+        text = (
+            '{"kind": "periodic", "s": 1, "d": %d, "matrices": '
+            '[{"B": [[%s]], "C": [%s]}]}' % (m + 1, ", ".join(tokens), ", ".join(c_rows))
+        )
+        path = tmp_path_factory.mktemp("m") / "m.json"
+        pairs = [f"[{t}, {tokens[-1 - i]}]" for i, t in enumerate(tokens)]
+        path.write_text(
+            data.draw(st.sampled_from(["[[%s]]", '{"matrix": [[%s]]}']))
+            % "], [".join([", ".join(tokens)] * (m - 1) + [", ".join(pairs)])
+        )
+        if not all(map(_finite, tokens)):
+            with pytest.raises(ParseError, match="non-finite|too large for a float"):
+                parse_sequence_text(text)
+            with pytest.raises(ParseError, match="non-finite|too large for a float"):
+                parse_matrix_file(path)
+            return
+        want = [_expected(t) for t in tokens]
+        a = parse_sequence_text(text).members[0]
+        assert [_bits(z) for z in a.b[0]] == [_bits(complex(w)) for w in want]
+        assert [_bits(a.c[i, i]) for i in range(m)] == [
+            _bits(complex(w, want[(i + 1) % m])) for i, w in enumerate(want)
+        ]
+        matrix = parse_matrix_file(path)
+        for row in matrix[:-1]:
+            assert [_bits(z) for z in row] == [_bits(complex(w)) for w in want]
+        assert [_bits(z) for z in matrix[-1]] == [
+            _bits(complex(w, want[-1 - i])) for i, w in enumerate(want)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_documents_read_as_json_decodes_them(self, data):
+        s, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        finite = TOKENS.filter(_finite)
+        scalar = st.one_of(finite, st.tuples(finite, finite).map("[{0[0]}, {0[1]}]".format))
+
+        def block(rows, cols):
+            return data.draw(st.lists(
+                st.lists(scalar, min_size=cols, max_size=cols).map(", ".join),
+                min_size=rows, max_size=rows,
+            ))
+
+        members = [
+            '{"B": [[%s]], "C": [[%s]]}'
+            % ("], [".join(block(s, m)), "], [".join(block(m, m)))
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        kind = data.draw(st.sampled_from(["periodic", "finite", "set"]))
+        declared = ["", ', "norm": "auto"', ', "norm": "one", "rate": 0.5']
+        norm = data.draw(st.sampled_from([""] if kind == "set" else declared))
+        text = '{"kind": "%s", "s": %d, "d": %d, "matrices": [%s]%s, "note": "x"}' % (
+            kind, s, s + m, ", ".join(members), norm
+        )
+        doc = parse_sequence_text(text)
+        ref = json.loads(text)
+        assert (doc.kind, doc.s, doc.d) == (ref["kind"], ref["s"], ref["d"])
+        assert len(doc.members) == len(ref["matrices"])
+        for a, entry in zip(doc.members, ref["matrices"]):
+            assert a.b.tobytes() == _reference(entry["B"]).tobytes()
+            assert a.c.tobytes() == _reference(entry["C"]).tobytes()
+        rate = ref.get("rate")
+        assert (doc.certificate and doc.certificate.rate) == rate
+
+    def test_json_integers_name_the_errors(self):
+        # orjson reads integers of 2^64 and more as floats; errors name the ints
+        text = VALID.replace('"s": 1, "d": 3', f'"s": {2**64}, "d": {2**64 + 2}')
+        with pytest.raises(ParseError) as info:
+            parse_sequence_text(text)
+        assert str(info.value) == f"entry 0 B must be a list of {2**64} rows"
+        text = VALID.replace("[0, -2]", f"[{2**64}, true]")
+        with pytest.raises(ParseError) as info:
+            parse_sequence_text(text)
+        assert str(info.value) == _invalid(f"[{2**64}, True]")
+
+    def test_largest_finite_integer_literal(self):
+        big = 2**1024 - 2**970 - 1  # rounds down to the largest double
+        doc = parse_sequence_text(VALID.replace("[0, -2]", f"[0, -{big}]"))
+        assert doc.members[0].b[0, 1] == complex(0, -np.finfo(float).max)
+        with pytest.raises(ParseError) as info:
+            parse_sequence_text(VALID.replace("[0, -2]", f"[0, -{big + 1}]"))
+        assert str(info.value) == TOO_LARGE
+
+    def test_integer_past_the_digit_limit(self):
+        digits = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError) as info:
+            parse_sequence_text(VALID.replace("[0, -2]", "[0, -1" + "0" * digits + "]"))
+        assert str(info.value) == (
+            f"number too large for a float: an integer of more than {digits} digits"
+        )
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "1" + "]" * depth
+
+
+DEEP_PLACES = {
+    "B": lambda v: VALID.replace("[0, -2]", v),
+    "C": lambda v: VALID.replace("[0.25, 0.1]", v),
+    "kind": lambda v: VALID.replace('"periodic"', v),
+    "norm": lambda v: VALID.replace('"inf"', v),
+    "unread key": lambda v: VALID.replace('"rate": 0.9', f'"rate": 0.9, "note": {v}'),
+    "unread entry key": lambda v: VALID.replace('"B":', f'"note": {v}, "B":'),
+}
+DEEP_MATRICES = {
+    "matrix": lambda v: f"[[0, {v}], [0, 0]]",
+    "matrix unread key": lambda v: f'{{"matrix": [[1]], "note": {v}}}',
+}
+
+
+class TestDeepNesting:
+    """Nesting that json refuses stays a ParseError (exit 2), wherever it
+    lands, although orjson decodes it."""
+
+    @pytest.mark.parametrize("depth", [1500, 100000])
+    @pytest.mark.parametrize("place", DEEP_PLACES)
+    def test_sequence_file(self, capsys, tmp_path, place, depth):
+        text = DEEP_PLACES[place](_nested(depth))
+        with pytest.raises(ParseError, match="^invalid JSON: maximum recursion depth"):
+            parse_sequence_text(text)
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main(["analyze", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("parse error: invalid JSON: maximum recursion")
+
+    @pytest.mark.parametrize("depth", [1500, 100000])
+    @pytest.mark.parametrize("place", DEEP_MATRICES)
+    def test_matrix_file(self, capsys, tmp_path, place, depth):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_MATRICES[place](_nested(depth)))
+        with pytest.raises(ParseError, match="^invalid JSON: maximum recursion depth"):
+            parse_matrix_file(path)
+        assert main(["norm", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("parse error: invalid JSON: maximum recursion")
+
+    @pytest.mark.parametrize("place", ["B", "C", "kind", "norm"])
+    def test_shallower_nesting_keeps_its_message(self, place):
+        value = _nested(400)
+        with pytest.raises(ParseError) as info:
+            parse_sequence_text(DEEP_PLACES[place](value))
+        shown = repr(json.loads(value))
+        assert str(info.value) == {
+            "B": _invalid(shown),
+            "C": _invalid(shown),
+            "kind": f"kind must be periodic, finite, or set, got {shown}",
+            "norm": f"norm must be inf, one, fro, or auto, got {shown}",
+        }[place]
+
+    def test_shallower_unread_nesting_is_accepted(self):
+        doc = parse_sequence_text(DEEP_PLACES["unread key"](_nested(400)))
+        assert doc == parse_sequence_text(VALID)
 
 
 class TestFormatting:
