@@ -8,16 +8,29 @@ validate their inputs and then call the private ``_norms``, the one norm
 evaluator, on a one-matrix stack, and ``_solve_right_each``.  The step
 engine calls both directly on stacks of matrices that were validated when
 their factor was built.
+
+The six LAPACK and BLAS routines used here (``zgetrf``, ``zgetrs``,
+``zgesv``, ``ztrtrs``, ``zgees`` and ``dznrm2``) are taken from the compiled
+``_flapack`` and ``_fblas`` modules of SciPy's ``linalg`` package, loaded
+straight from their files, and called with the arguments that package's
+functions pass, so the results are its results bit for bit.  Importing the
+package itself would run its Python layer, which pulls in ``numpy.f2py``,
+``numpy.testing`` and more, and would double a process's start-up.  Nothing
+is added to ``sys.modules``, so a program that imports the package later
+gets the same routine objects.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import numbers
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CertificateViolationError,
@@ -45,6 +58,35 @@ __all__ = [
     "spectral_certificate",
     "BUILTIN_NORMS",
 ]
+
+
+def _scipy_extension(name: str):
+    """SciPy's compiled module ``scipy.linalg.<name>``, loaded from its file
+    without running ``scipy/linalg/__init__.py``; the one already imported,
+    if any.  Finding the file imports the ``scipy`` package only."""
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    for location in importlib.util.find_spec("scipy.linalg").submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(location, name + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(fullname, path)
+                spec = importlib.util.spec_from_loader(fullname, loader)
+                module = importlib.util.module_from_spec(spec)
+                # CPython records a single-phase extension in sys.modules as
+                # it loads it; a later import of the package would then find
+                # the module there and not set it as its attribute
+                if sys.modules.get(fullname) is module:
+                    del sys.modules[fullname]
+                return module
+    raise ImportError(f"no compiled module {fullname} was found", name=fullname)
+
+
+_FLAPACK = _scipy_extension("_flapack")
+_GETRF, _GETRS, _GESV = _FLAPACK.zgetrf, _FLAPACK.zgetrs, _FLAPACK.zgesv
+_TRTRS, _GEES = _FLAPACK.ztrtrs, _FLAPACK.zgees
+_NRM2 = _scipy_extension("_fblas").dznrm2
 
 
 def as_matrix(data) -> np.ndarray:
@@ -100,7 +142,10 @@ class MatrixNorm:
         object.__setattr__(self, "scaling", h)
         # P = L L*, so |x|_P = |L* x|_2; private attributes, not fields
         object.__setattr__(self, "_lt", lt)
-        lt_inv = scipy.linalg.solve_triangular(lt, np.eye(len(h)))
+        # lt is Fortran-ordered: the call SciPy's solve_triangular makes
+        lt_inv, info = _TRTRS(lt, np.eye(len(h)), lower=0, trans=0, unitdiag=0)
+        if info != 0:
+            raise ShapeError("scaling matrix must be positive definite")
         object.__setattr__(self, "_lt_inv", lt_inv)
 
     def __eq__(self, other):
@@ -197,10 +242,6 @@ def solve_right(b, m) -> np.ndarray:
     return xs[0]
 
 
-_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
-_TRTRS, _GESV = scipy.linalg.get_lapack_funcs(("trtrs", "gesv"), dtype=np.complex128)
-
-
 def _lu_solve(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The LU factors of m and the solution x of m x = b, without writing
     to m or b: one gesv call, which is getrf and getrs bit for bit, except
@@ -241,10 +282,28 @@ def _solve_right_each(
 #: its m^2 x m^2 complex matrix takes 16 m^4 bytes, about 85 MB at m = 48
 _STEIN_SET_MAX_ORDER = 48
 
-_NRM2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.complex128)
-
-
 _STEIN_SINGULAR = "Stein equation is singular; spectral radius >= 1 suspected"
+
+
+def _no_selection(w):
+    """zgees' eigenvalue selection, which an unsorted call never calls."""
+    return None
+
+
+def _schur(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The complex Schur form C = Z T Z* of a complex128 matrix as (T, Z),
+    by the zgees calls of SciPy's schur(c, output="complex"): one
+    workspace query, then the unsorted factorization.  A nonzero info
+    raises :class:`NoContractingNormError`."""
+    *_, work, info = _GEES(_no_selection, c, lwork=-1)
+    if info == 0:
+        lwork = work[0].real.astype(np.int_)
+        t, _, _, z, _, info = _GEES(
+            _no_selection, c, lwork=lwork, overwrite_a=0, sort_t=0
+        )
+    if info != 0:
+        raise NoContractingNormError(f"no complex Schur form found (zgees info {info})")
+    return t, z
 
 
 def _stein_schur(c: np.ndarray) -> np.ndarray:
@@ -259,7 +318,7 @@ def _stein_schur(c: np.ndarray) -> np.ndarray:
     within rounding of modulus one, each column divides by a pivot near zero
     and X can overflow; a non-finite X is refused the same way.
     """
-    t, z = scipy.linalg.schur(c, output="complex")
+    t, z = _schur(c)
     n = t.shape[0]
     th = t.conj().T
     eye = np.eye(n, dtype=np.complex128)
@@ -268,7 +327,7 @@ def _stein_schur(c: np.ndarray) -> np.ndarray:
         for j in range(n):
             rhs = eye[:, j] + th @ (x[:, :j] @ t[:j, j])
             x[:, j], info = _TRTRS(eye - t[j, j] * th, rhs, lower=1)
-            if info > 0:
+            if info != 0:
                 raise NoContractingNormError(_STEIN_SINGULAR)
     if not np.isfinite(x).all():
         raise NoContractingNormError(_STEIN_SINGULAR)

@@ -1,6 +1,11 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockprod import (
     BUILTIN_NORMS,
+    BlockprodError,
     BlockUpperTriangular,
     CertificateViolationError,
     ContractionCertificate,
@@ -39,9 +45,12 @@ from blockprod.matrixcore import (
     _solve_right_each,
     _stein_assembled,
     _stein_certificate,
+    _schur,
     _stein_schur,
 )
 from conftest import random_complex
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 NILPOTENT = np.array([[0.0, 2.0], [0.0, 0.0]])
 BIG = np.finfo(np.float64).max
@@ -749,3 +758,141 @@ class TestSpectralCertificate:
             cert = spectral_certificate(c)
             if cert is not None:
                 assert cert.rate >= rho - 1e-8
+
+
+@st.composite
+def schur_inputs(draw):
+    """A complex m x m matrix, m <= 40: random, times a power of ten;
+    nilpotent, a strictly upper triangular matrix in a random unitary basis;
+    or with every eigenvalue between 1e-12 and 1e-2 inside the unit circle."""
+    m = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "nilpotent", "unit_modulus"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return random_complex(rng, m, m) * 10.0 ** rng.uniform(-8, 8)
+    q, _ = np.linalg.qr(random_complex(rng, m, m))
+    t = np.triu(random_complex(rng, m, m), 1)
+    if kind == "unit_modulus":
+        angles = np.exp(2j * np.pi * rng.uniform(size=m))
+        t = 0.1 * t + np.diag(angles * (1 - 10.0 ** rng.uniform(-12, -2, m)))
+    return q @ t @ q.conj().T
+
+
+#: run in a fresh process: the CLI on paths that reach every LAPACK and BLAS
+#: routine of matrixcore, then the modules loaded, then scipy.linalg's own
+#: routine objects compared with those matrixcore holds
+LOADED_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+import numpy as np
+import blockprod, blockprod.cli
+from blockprod import matrixcore
+fixtures = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        blockprod.cli.main(
+            ["product", "--input", fixtures + "/constant.json", "--n", "5"]
+        ),
+        blockprod.cli.main(
+            ["norm", "--input", fixtures + "/nilpotent.json", "--kind", "lyapunov"]
+        ),
+    ]
+loaded = sorted({"scipy.linalg", "numpy.f2py", "numpy.testing"} & set(sys.modules))
+import scipy.linalg
+lapack = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getrs", "gesv", "trtrs", "gees"), dtype=np.complex128
+)
+held = (matrixcore._GETRF, matrixcore._GETRS, matrixcore._GESV,
+        matrixcore._TRTRS, matrixcore._GEES)
+nrm2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.complex128)
+print(json.dumps({
+    "codes": codes,
+    "loaded": loaded,
+    "same_lapack": [a is b for a, b in zip(lapack, held)],
+    "same_blas": nrm2 is matrixcore._NRM2,
+    "attributes": [hasattr(scipy.linalg, "_flapack"), hasattr(scipy.linalg, "_fblas")],
+}))
+"""
+
+
+def run_fresh(script, *args, cwd=None):
+    """The last line *script* prints, run by a fresh interpreter that imports
+    blockprod from this tree."""
+    src = str(Path(matrixcore.__file__).parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+class TestLapackSource:
+    """matrixcore calls SciPy's compiled LAPACK and BLAS modules directly,
+    never scipy.linalg's Python layer, with scipy.linalg's arguments."""
+
+    def test_a_process_never_loads_scipy_linalg(self, tmp_path):
+        out = run_fresh(LOADED_MODULES_SCRIPT, str(FIXTURES), cwd=tmp_path)
+        assert json.loads(out) == {
+            "codes": [0, 0],
+            "loaded": [],
+            "same_lapack": [True] * 5,
+            "same_blas": True,
+            "attributes": [True, True],
+        }
+
+    def test_an_imported_scipy_linalg_is_left_as_it_is(self):
+        script = (
+            "import sys, scipy.linalg\n"
+            "flapack = sys.modules['scipy.linalg._flapack']\n"
+            "from blockprod import matrixcore\n"
+            "print(sys.modules.get('scipy.linalg._flapack') is flapack,"
+            " matrixcore._GEES is flapack.zgees,"
+            " matrixcore._NRM2 is scipy.linalg._fblas.dznrm2)"
+        )
+        assert run_fresh(script) == "True True True"
+
+    @settings(max_examples=80, deadline=None)
+    @given(c=schur_inputs())
+    def test_schur_is_bit_identical_to_scipy(self, c):
+        got_t, got_z = _schur(c)
+        want_t, want_z = scipy.linalg.schur(c, output="complex")
+        assert got_t.tobytes() == want_t.tobytes()
+        assert got_z.tobytes() == want_z.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_inverse_factor_is_bit_identical_to_scipy(self, n, seed):
+        norm = lyapunov_norm(scaling_matrix(np.random.default_rng(seed), n, 1e12))
+        want = scipy.linalg.solve_triangular(norm._lt, np.eye(n))
+        assert norm._lt_inv.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("failing", ["query", "factorization"])
+    def test_gees_failure_is_refused(self, monkeypatch, failing):
+        original = matrixcore._GEES
+
+        def gees(*args, lwork, **kwargs):
+            *out, info = original(*args, lwork=lwork, **kwargs)
+            return (*out, 3 if (lwork == -1) == (failing == "query") else info)
+
+        monkeypatch.setattr(matrixcore, "_GEES", gees)
+        c = 0.5 * np.eye(3) + np.eye(3, k=1)
+        with pytest.raises(BlockprodError, match=r"zgees info 3"):
+            lyapunov_scaling(c)
+        assert uniform_certificate([c]) is None
+
+    @pytest.mark.parametrize("info", [2, -1])
+    def test_trtrs_failure_is_refused(self, monkeypatch, info):
+        original = matrixcore._TRTRS
+
+        def trtrs(*args, **kwargs):
+            return original(*args, **kwargs)[0], info
+
+        monkeypatch.setattr(matrixcore, "_TRTRS", trtrs)
+        with pytest.raises(ShapeError, match="positive definite"):
+            lyapunov_norm(np.diag([1.0, 5.0]))
+        with pytest.raises(NoContractingNormError):
+            lyapunov_scaling(NILPOTENT)
