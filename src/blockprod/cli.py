@@ -9,10 +9,12 @@ them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
 import sys
+import tempfile
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .seqfile import (
     norm_by_name,
     parse_matrix_file,
     parse_sequence_file,
+    trace_csv_line,
     write_trace_csv,
 )
 
@@ -69,9 +72,19 @@ def cmd_product(args) -> int:
     split = 0 if doc.kind == "periodic" else len(doc.members) - 1
     prefix, cycle = doc.members[:split], doc.members[split:]
     factors = itertools.chain(prefix, itertools.cycle(cycle))
-    rows = []
-    for _, _, done in _run(factors, cert, args.n):
-        rows += [trace_row(st, cert) for st in done.states] if args.trace else []
+    # the trace lines go to an anonymous temporary file as they are stepped,
+    # so memory does not grow with --n, and reach the target only after the
+    # engine has finished, so an engine failure writes nothing
+    spool = None
+    if args.trace:
+        spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    with spool or contextlib.nullcontext():
+        for _, _, done in _run(factors, cert, args.n):
+            if spool:
+                spool.writelines(trace_csv_line(trace_row(st, cert)) for st in done.states)
+        if spool:  # before the report, so that a path it cannot write prints none
+            spool.seek(0)
+            write_trace_csv(args.trace, spool)
     state = done.states[-1]  # every step was taken, and --n >= 1
     dense = _dense_cycle_product(prefix, cycle, args.n)
     diff = max(
@@ -91,8 +104,6 @@ def cmd_product(args) -> int:
         f"deviation bound: {fmt_float(state.bound)}",
         f"dense cross-check: {'OK' if ok else 'FAILED'} (|diff| <= 1e-11)",
     ]
-    if args.trace:  # before the report, so that a path it cannot write prints none
-        write_trace_csv(args.trace, rows)
     print("\n".join(out))
     return EXIT_OK if ok else EXIT_REFUSED
 

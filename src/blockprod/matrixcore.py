@@ -9,15 +9,16 @@ evaluator, on a one-matrix stack, and ``_solve_right_each``.  The step
 engine calls both directly on stacks of matrices that were validated when
 their factor was built.
 
-The six LAPACK and BLAS routines used here (``zgetrf``, ``zgetrs``,
-``zgesv``, ``ztrtrs``, ``zgees`` and ``dznrm2``) are taken from the compiled
-``_flapack`` and ``_fblas`` modules of SciPy's ``linalg`` package, loaded
-straight from their files, and called with the arguments that package's
+The six LAPACK routines used here (``zgetrf``, ``zgetrs``, ``zgesv``,
+``ztrtrs``, ``zgees`` and ``zlange``) are taken from ``_flapack``, the one
+compiled extension module of SciPy's ``linalg`` package that is loaded,
+straight from its file, and are called with the arguments that package's
 functions pass, so the results are its results bit for bit.  Importing the
 package itself would run its Python layer, which pulls in ``numpy.f2py``,
-``numpy.testing`` and more, and would double a process's start-up.  Nothing
-is added to ``sys.modules``, so a program that imports the package later
-gets the same routine objects.
+``numpy.testing`` and more, and would double a process's start-up; the file
+is found without running ``scipy/__init__.py`` either, except on Windows.
+Nothing is added to ``sys.modules``, so a program that imports the package
+later gets the same routine objects.
 """
 
 from __future__ import annotations
@@ -62,14 +63,18 @@ __all__ = [
 
 def _scipy_extension(name: str):
     """SciPy's compiled module ``scipy.linalg.<name>``, loaded from its file
-    without running ``scipy/linalg/__init__.py``; the one already imported,
-    if any.  Finding the file imports the ``scipy`` package only."""
+    without running ``scipy/__init__.py`` or ``scipy/linalg/__init__.py``;
+    the one already imported, if any."""
     fullname = f"scipy.linalg.{name}"
     if fullname in sys.modules:
         return sys.modules[fullname]
-    for location in importlib.util.find_spec("scipy.linalg").submodule_search_locations:
+    if sys.platform == "win32":
+        # SciPy's Windows wheels add the DLL directory of their bundled
+        # OpenBLAS in scipy/__init__.py, which must run before the load
+        import scipy  # noqa: F401
+    for location in importlib.util.find_spec("scipy").submodule_search_locations:
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(location, name + suffix)
+            path = os.path.join(location, "linalg", name + suffix)
             if os.path.isfile(path):
                 loader = importlib.machinery.ExtensionFileLoader(fullname, path)
                 spec = importlib.util.spec_from_loader(fullname, loader)
@@ -85,8 +90,7 @@ def _scipy_extension(name: str):
 
 _FLAPACK = _scipy_extension("_flapack")
 _GETRF, _GETRS, _GESV = _FLAPACK.zgetrf, _FLAPACK.zgetrs, _FLAPACK.zgesv
-_TRTRS, _GEES = _FLAPACK.ztrtrs, _FLAPACK.zgees
-_NRM2 = _scipy_extension("_fblas").dznrm2
+_TRTRS, _GEES, _LANGE = _FLAPACK.ztrtrs, _FLAPACK.zgees, _FLAPACK.zlange
 
 
 def as_matrix(data) -> np.ndarray:
@@ -378,10 +382,11 @@ def _stein_certificate(cs: list[np.ndarray]) -> ContractionCertificate:
     p = _stein_schur(cs[0]) if len(cs) == 1 else _stein_assembled(cs)
     n = p.shape[0]
     p = 0.5 * (p + p.conj().T)
-    # Frobenius norms by BLAS nrm2, which scales as it sums; np.linalg.norm
-    # squares the entries and reads inf once ||P|| passes about 1e154
-    residual = _NRM2((p - sum(c.conj().T @ p @ c for c in cs) - np.eye(n)).ravel())
-    if not residual <= 1e-10 * max(1.0, _NRM2(p.ravel())):  # refuses NaN too
+    # Frobenius norms by LAPACK lange, which scales as it sums; np.linalg.norm
+    # squares the entries and reads inf once ||P|| passes about 1e154.  The
+    # transposes are Fortran-ordered views, which lange reads without a copy
+    residual = _LANGE("F", (p - sum(c.conj().T @ p @ c for c in cs) - np.eye(n)).T)
+    if not residual <= 1e-10 * max(1.0, _LANGE("F", p.T)):  # refuses NaN too
         raise NoContractingNormError(
             f"Stein residual {residual:.3e} too large; no contracting norm found"
         )

@@ -33,6 +33,7 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 import orjson
@@ -55,6 +56,7 @@ __all__ = [
     "format_report",
     "format_rcp_verdict",
     "TRACE_HEADER",
+    "trace_csv_line",
     "write_trace_csv",
 ]
 
@@ -323,11 +325,19 @@ def format_rcp_verdict(verdict: RcpVerdict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace_csv(path, rows: list[TraceRow]) -> None:
+def trace_csv_line(r: TraceRow) -> str:
+    """The CSV line of one trace row, as it follows :data:`TRACE_HEADER`."""
+    return ",".join([str(r.n), *map(fmt_float, r[1:])]) + "\n"
+
+
+def write_trace_csv(path, rows: Iterable[TraceRow | str]) -> None:
+    """Write :data:`TRACE_HEADER` and then *rows* to *path*; a row is a
+    :class:`TraceRow` or a line that :func:`trace_csv_line` made, so an open
+    text file of such lines is copied as it is read."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
             for r in rows:
-                fh.write(",".join([str(r.n), *map(fmt_float, r[1:])]) + "\n")
+                fh.write(r if isinstance(r, str) else trace_csv_line(r))
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from None

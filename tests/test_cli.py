@@ -108,6 +108,45 @@ class TestProduct:
         assert code == 2 and out == ""
         assert err.startswith(f"parse error: cannot write {trace}: ")
 
+    def test_read_only_trace_is_parse_error(self, capsys, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text("kept\n")
+        trace.chmod(0o444)
+        if os.access(trace, os.W_OK):
+            pytest.skip("file permissions do not bind this user")
+        code, out, err = run(
+            capsys, "product", "--input", str(FIXTURES / "constant.json"),
+            "--n", "3", "--trace", str(trace),
+        )  # fmt: skip
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: cannot write {trace}: [Errno 13] ")
+        assert trace.read_text() == "kept\n"
+
+    def test_trace_to_the_null_device(self, capsys):
+        before = os.stat(os.devnull)
+        code, out, _ = run(
+            capsys, "product", "--input", str(FIXTURES / "constant.json"),
+            "--n", "3", "--trace", os.devnull,
+        )  # fmt: skip
+        assert code == 0 and "dense cross-check: OK (|diff| <= 1e-11)" in out
+        after = os.stat(os.devnull)
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    def test_trace_through_a_symbolic_link(self, capsys, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        try:
+            link.symlink_to(target)
+        except OSError:
+            pytest.skip("no symbolic links here")
+        code, _, _ = run(
+            capsys, "product", "--input", str(FIXTURES / "constant.json"),
+            "--n", "3", "--trace", str(link),
+        )  # fmt: skip
+        assert code == 0 and link.is_symlink()
+        assert target.read_text() == (GOLDEN / "trace_constant.csv").read_text()
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
     def test_malformed_no_partial_output(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "product", "--input", str(FIXTURES / "malformed.json"), "--n", "2"
@@ -154,7 +193,8 @@ class TestProduct:
         assert code == 0 and "dense cross-check: OK (|diff| <= 1e-11)" in out
         assert f"X:\n{fmt_matrix(state.x)}\ngamma:\n{fmt_matrix(state.gamma)}\n" in out
 
-    def test_failure_inside_the_engine_writes_nothing(self, capsys, tmp_path):
+    @staticmethod
+    def singular_file(tmp_path):
         # the certificate holds, and the second factor's I - C is singular to
         # working precision, which only the step engine finds, at step 2
         path = tmp_path / "singular.json"
@@ -163,29 +203,53 @@ class TestProduct:
             "matrices": [{"B": [[1]], "C": [[0.5]]}, {"B": [[1]], "C": [[0.999999999999999]]}],
             "norm": "inf", "rate": 0.9999999999999999,
         }))
+        return path
+
+    SINGULAR_ERR = (
+        "analysis refused: matrix singular to working precision (min pivot 9.992e-16)\n"
+    )
+
+    def test_failure_inside_the_engine_writes_nothing(self, capsys, tmp_path):
+        path = self.singular_file(tmp_path)
         trace = tmp_path / "out.csv"
         code, out, err = run(
             capsys, "product", "--input", str(path), "--n", "5", "--trace", str(trace)
         )
         assert code == 3 and out == "" and not trace.exists()
-        assert err == (
-            "analysis refused: matrix singular to working precision (min pivot 9.992e-16)\n"
-        )
+        assert err == self.SINGULAR_ERR
 
-    def test_memory_does_not_grow_with_n(self, capsys):
-        # the factors are fed one chunk at a time, never as a list of all n
-        argv = ("product", "--input", str(FIXTURES / "constant.json"), "--n")
-        run(capsys, *argv, "1")  # imports and the parser, once
-        peaks = []
-        for n in ("200", "20000"):
-            tracemalloc.start()
-            try:
-                code, out, _ = run(capsys, *argv, n)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert code == 0 and "dense cross-check: OK (|diff| <= 1e-11)" in out
-        assert peaks[1] < 2 * peaks[0]
+    def test_failed_run_leaves_the_trace_target_as_it_was(self, capsys, tmp_path):
+        # the rows go to an anonymous temporary file and reach the target only
+        # after the engine has run, so the engine's failure comes first, also
+        # before a path that cannot be written
+        path = self.singular_file(tmp_path)
+        trace = tmp_path / "out.csv"
+        trace.write_text("kept\n")
+        for target in (trace, tmp_path / "missing" / "t.csv"):
+            argv = ("product", "--input", str(path), "--n", "5", "--trace", str(target))
+            assert run(capsys, *argv) == (3, "", self.SINGULAR_ERR)
+        assert trace.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "singular.json"]
+
+    def test_memory_does_not_grow_with_n(self, capsys, tmp_path):
+        # the factors are fed one chunk at a time, never as a list of all n,
+        # and trace rows are written as they are stepped, never kept
+        argv = ("product", "--input", str(FIXTURES / "constant.json"))
+        run(capsys, *argv, "--n", "1")  # imports and the parser, once
+        trace = ("--trace", str(tmp_path / "t.csv"))
+        for options in ((), trace):
+            peaks = []
+            for n in ("200", "20000"):
+                tracemalloc.start()
+                try:
+                    code, out, _ = run(capsys, *argv, "--n", n, *options)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert code == 0 and "dense cross-check: OK (|diff| <= 1e-11)" in out
+            assert peaks[1] < 2 * peaks[0], options
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == 20001
+        assert os.listdir(tmp_path) == ["t.csv"]
 
 
 def test_parser_built_once_gives_the_outputs_of_fresh_ones(capsys):

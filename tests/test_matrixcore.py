@@ -778,11 +778,12 @@ def schur_inputs(draw):
     return q @ t @ q.conj().T
 
 
-#: run in a fresh process: the CLI on paths that reach every LAPACK and BLAS
-#: routine of matrixcore, then the modules loaded, then scipy.linalg's own
-#: routine objects compared with those matrixcore holds
+#: run in a fresh process: the CLI on paths that reach every LAPACK routine
+#: of matrixcore, then the modules loaded (the scipy package itself is
+#: imported on Windows only), then scipy.linalg's own routine objects
+#: compared with those matrixcore holds
 LOADED_MODULES_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, re, sys
 import numpy as np
 import blockprod, blockprod.cli
 from blockprod import matrixcore
@@ -796,19 +797,26 @@ with contextlib.redirect_stdout(io.StringIO()):
             ["norm", "--input", fixtures + "/nilpotent.json", "--kind", "lyapunov"]
         ),
     ]
-loaded = sorted({"scipy.linalg", "numpy.f2py", "numpy.testing"} & set(sys.modules))
+unwanted = {"scipy.linalg", "scipy.linalg._fblas", "numpy.f2py", "numpy.testing"}
+if sys.platform != "win32":
+    unwanted.add("scipy")
+loaded = sorted(unwanted & set(sys.modules))
+try:  # the shared objects mapped into this process, where the system lists them
+    with open("/proc/self/maps") as fh:
+        mapped = sorted(set(re.findall(r"/scipy/linalg/(\\w+)\\.", fh.read())))
+except OSError:
+    mapped = None
 import scipy.linalg
 lapack = scipy.linalg.get_lapack_funcs(
-    ("getrf", "getrs", "gesv", "trtrs", "gees"), dtype=np.complex128
+    ("getrf", "getrs", "gesv", "trtrs", "gees", "lange"), dtype=np.complex128
 )
 held = (matrixcore._GETRF, matrixcore._GETRS, matrixcore._GESV,
-        matrixcore._TRTRS, matrixcore._GEES)
-nrm2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.complex128)
+        matrixcore._TRTRS, matrixcore._GEES, matrixcore._LANGE)
 print(json.dumps({
     "codes": codes,
     "loaded": loaded,
+    "mapped": mapped,
     "same_lapack": [a is b for a, b in zip(lapack, held)],
-    "same_blas": nrm2 is matrixcore._NRM2,
     "attributes": [hasattr(scipy.linalg, "_flapack"), hasattr(scipy.linalg, "_fblas")],
 }))
 """
@@ -831,29 +839,51 @@ def run_fresh(script, *args, cwd=None):
 
 
 class TestLapackSource:
-    """matrixcore calls SciPy's compiled LAPACK and BLAS modules directly,
-    never scipy.linalg's Python layer, with scipy.linalg's arguments."""
+    """matrixcore calls SciPy's compiled LAPACK module directly, never
+    scipy.linalg's Python layer, with scipy.linalg's arguments."""
 
     def test_a_process_never_loads_scipy_linalg(self, tmp_path):
         out = run_fresh(LOADED_MODULES_SCRIPT, str(FIXTURES), cwd=tmp_path)
         assert json.loads(out) == {
             "codes": [0, 0],
             "loaded": [],
-            "same_lapack": [True] * 5,
-            "same_blas": True,
+            "mapped": ["_flapack"] if sys.platform == "linux" else None,
+            "same_lapack": [True] * 6,
             "attributes": [True, True],
         }
 
     def test_an_imported_scipy_linalg_is_left_as_it_is(self):
         script = (
-            "import sys, scipy.linalg\n"
+            "import sys, numpy as np, scipy.linalg\n"
             "flapack = sys.modules['scipy.linalg._flapack']\n"
             "from blockprod import matrixcore\n"
             "print(sys.modules.get('scipy.linalg._flapack') is flapack,"
             " matrixcore._GEES is flapack.zgees,"
-            " matrixcore._NRM2 is scipy.linalg._fblas.dznrm2)"
+            " matrixcore._LANGE is"
+            " scipy.linalg.get_lapack_funcs('lange', dtype=np.complex128))"
         )
         assert run_fresh(script) == "True True True"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 20),
+        cols=st.integers(1, 20),
+        exponent=st.integers(-300, 300),
+        spread=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_frobenius_norm_matches_nrm2(self, rows, cols, exponent, spread, seed):
+        # the Stein residual and ||P|| are taken by zlange, which scales as it
+        # sums, like BLAS nrm2; squaring first would overflow above 1e154
+        rng = np.random.default_rng(seed)
+        powers = exponent - rng.integers(0, spread + 1, (rows, cols))
+        m = random_complex(rng, rows, cols) * 10.0 ** powers.astype(float)
+        m[rng.uniform(size=m.shape) < rng.uniform(0, 0.5)] = 0
+        want = scipy.linalg.blas.dznrm2(m.ravel())
+        for a in (m, m.T):  # a copy to Fortran order, and a Fortran view
+            got = matrixcore._LANGE("F", a)
+            assert np.isfinite(got)
+            assert abs(got - want) <= 8 * np.finfo(float).eps * want
 
     @settings(max_examples=80, deadline=None)
     @given(c=schur_inputs())
