@@ -9,8 +9,9 @@ evaluator, on a one-matrix stack, and ``_solve_right_each``.  The step
 engine calls both directly on stacks of matrices that were validated when
 their factor was built.
 
-The six LAPACK routines used here (``zgetrf``, ``zgetrs``, ``zgesv``,
-``ztrtrs``, ``zgees`` and ``zlange``) are taken from ``_flapack``, the one
+The seven LAPACK routines used here (``zgetrf``, ``zgetrs``, ``zgesv``,
+``ztrtrs``, ``zgees``, ``zlange`` and ``dgesv``, which solves the real Stein
+system of a set) are taken from ``_flapack``, the one
 compiled extension module of SciPy's ``linalg`` package that is loaded,
 straight from its file, and are called with the arguments that package's
 functions pass, so the results are its results bit for bit.  Importing the
@@ -91,6 +92,7 @@ def _scipy_extension(name: str):
 _FLAPACK = _scipy_extension("_flapack")
 _GETRF, _GETRS, _GESV = _FLAPACK.zgetrf, _FLAPACK.zgetrs, _FLAPACK.zgesv
 _TRTRS, _GEES, _LANGE = _FLAPACK.ztrtrs, _FLAPACK.zgees, _FLAPACK.zlange
+_DGESV = _FLAPACK.dgesv
 
 
 def as_matrix(data) -> np.ndarray:
@@ -188,40 +190,47 @@ def _norms(st: np.ndarray, kind: MatrixNorm) -> np.ndarray:
     (k, r, c), each bit-identical to that of its matrix as a one-matrix stack.
     With P = L L*, a Lyapunov norm is ||L* M L^-*||_2 on a square M (from
     |.|_P to itself) and ||M L^-*||_2 on a rectangular one (from |.|_P to the
-    Euclidean norm, consistent on the right: ||MC|| <= ||M|| ||C||_P); where
-    that is not finite, 2^e ||2^-e M|| with 2^-e M of unit size, else NaN."""
+    Euclidean norm, consistent on the right: ||MC|| <= ||M|| ||C||_P).  Where
+    a Frobenius or Lyapunov value is not finite, it is 2^e ||2^-e M|| with
+    2^-e M of unit size, else NaN, so every finite value keeps its bits."""
     if kind.kind == "one":
         return np.abs(st).sum(axis=-2).max(axis=-1, initial=0.0)
     if kind.kind == "inf":
         return np.abs(st).sum(axis=-1).max(axis=-1, initial=0.0)
     if kind.kind == "fro":
-        # np.linalg.norm's sum: BLAS dot products of the real and of the
-        # imaginary parts, strided views of the flattened matrix
-        f = st.reshape(len(st), -1)
-        return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
-    n = len(kind.scaling)
-    if st.shape[2] != n:
-        raise ShapeError(
-            f"matrix with {st.shape[2]} columns does not conform to {n}x{n} scaling"
-        )
 
-    def lyapunov(st):
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = st @ kind._lt_inv
-            if st.shape[1] == n:
-                w = kind._lt @ w
-        finite = np.isfinite(w).all(axis=(1, 2))
-        w[~finite] = 0.0  # an SVD of inf raises
-        return np.where(finite, np.linalg.norm(w, 2, axis=(1, 2)), np.nan)
+        def evaluate(st):
+            # np.linalg.norm's sum: BLAS dot products of the real and of the
+            # imaginary parts, strided views of the flattened matrix
+            f = st.reshape(len(st), -1)
+            with np.errstate(over="ignore"):
+                return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
 
-    values = lyapunov(st)
-    bad = ~np.isfinite(values)  # an SVD near the largest double reads NaN
+    else:
+        n = len(kind.scaling)
+        if st.shape[2] != n:
+            raise ShapeError(
+                f"matrix with {st.shape[2]} columns does not conform to {n}x{n} scaling"
+            )
+
+        def evaluate(st):
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = st @ kind._lt_inv
+                if st.shape[1] == n:
+                    w = kind._lt @ w
+            finite = np.isfinite(w).all(axis=(1, 2))
+            w[~finite] = 0.0  # an SVD of inf raises
+            return np.where(finite, np.linalg.norm(w, 2, axis=(1, 2)), np.nan)
+
+    values = evaluate(st)
+    # a sum of squares past the largest double reads inf, and an SVD near it NaN
+    bad = ~np.isfinite(values)
     if bad.any():
         m = st[bad]
         e = np.frexp(np.maximum(abs(m.real), abs(m.imag)).max(axis=(1, 2)))[1]
         # inf where 2^e ||2^-e M|| is above the largest double
         with np.errstate(over="ignore", invalid="ignore"):
-            values[bad] = np.ldexp(lyapunov(m * np.ldexp(1.0, -e)[:, None, None]), e)
+            values[bad] = np.ldexp(evaluate(m * np.ldexp(1.0, -e)[:, None, None]), e)
     return values
 
 
@@ -283,7 +292,7 @@ def _solve_right_each(
 
 
 #: largest C-block order m for which the Stein system of a set is assembled:
-#: its m^2 x m^2 complex matrix takes 16 m^4 bytes, about 85 MB at m = 48
+#: its m^2 x m^2 real matrix takes 8 m^4 bytes, about 42 MB at m = 48
 _STEIN_SET_MAX_ORDER = 48
 
 _STEIN_SINGULAR = "Stein equation is singular; spectral radius >= 1 suspected"
@@ -339,14 +348,26 @@ def _stein_schur(c: np.ndarray) -> np.ndarray:
 
 
 def _stein_assembled(cs: list[np.ndarray]) -> np.ndarray:
-    """Solve P - sum_i C_i* P C_i = I for two or more matrices through the
-    m^2 x m^2 system (I - sum_i C_i^T kron C_i*) vec(P) = vec(I), with a
-    column-major vec.
+    """Solve P - sum_i C_i* P C_i = I for two or more matrices over
+    Hermitian P, as one real system of order m^2 solved by ``dgesv``.
 
-    The sum is assembled by one product over the stacked members, straight
-    into its final layout, and solved in place, so the system is the one
-    array of size m^4.  Orders above :data:`_STEIN_SET_MAX_ORDER` are refused
-    before anything of that size is allocated.
+    The unknowns are the real coordinates of P = X + iY (the
+    half-vectorisation of Magnus and Neudecker): x_rr for each r, then x_rs
+    and y_rs side by side for each r < s, row by row.  The equations are the
+    real parts of the upper triangle and the imaginary parts of the strict
+    upper triangle, in the same order, so the system is I - L with L the
+    matrix of P -> sum_i C_i* P C_i.  With V = sum_i C_i* E_rs C_i, the
+    column of L for x_rs holds the coordinates of V + V*, that for y_rs
+    those of i(V - V*), and that for x_rr those of V.
+    Writing C_i = A_i + iB_i, with G_r = [A_r B_r] and H_r = [B_r -A_r] the
+    m x 2k matrices whose rows u are the entries (r, u) of the A_i and B_i,
+    Re V = G_r G_s^T and Im V = G_r H_s^T, so each coordinate is the sum of
+    two entries of Re V, Im V or their negatives.  For each r, one product
+    of rank 2k gives these for every s > r; the columns go into the rows of
+    the C-ordered transpose that LAPACK reads as the system, which is solved
+    in place.  So the system of 8 m^4 bytes is the one large array, and the
+    P returned is exactly Hermitian.  Orders above
+    :data:`_STEIN_SET_MAX_ORDER` are refused before it is allocated.
     """
     n = cs[0].shape[0]
     if n > _STEIN_SET_MAX_ORDER:
@@ -354,17 +375,55 @@ def _stein_assembled(cs: list[np.ndarray]) -> np.ndarray:
             f"the Stein system of a set at m = {n} has order {n * n}; "
             f"sets are solved up to m = {_STEIN_SET_MAX_ORDER}"
         )
-    a = np.stack(cs)
-    # op[(p, q), (r, s)] = sum_i C_i[r, p] conj(C_i[s, q]); the C-ordered
-    # transpose built here is op in the Fortran order LAPACK reads
-    op_t = np.einsum("irp,isq->rspq", a, a.conj(), order="C").reshape(n * n, n * n)
-    op_t *= -1
-    op_t.flat[:: n * n + 1] += 1
-    rhs = np.eye(n, dtype=np.complex128).reshape(-1)
-    _, _, vec_p, info = _GESV(op_t.T, rhs, overwrite_a=1, overwrite_b=1)
+    nn = n * n
+    a = np.array(cs)
+    g = np.concatenate((a.real, a.imag)).transpose(1, 2, 0)  # g[r] = G_r
+    h = np.concatenate((a.imag, -a.real)).transpose(1, 2, 0)  # h[r] = H_r
+    # gh[(s, b, v)] is row v of block b of [G_s; H_s; -G_s; -H_s], so that
+    # gh @ G_r^T holds, for each s, the 4m x m blocks [Re V; Im V; -Re V;
+    # -Im V] transposed, and entry (u, v) of block b lies at b m^2 + v m + u
+    gh = np.concatenate((g, h, -g, -h), axis=1).reshape(4 * nn, -1)
+    iu, iv = np.nonzero(~np.tri(n, dtype=bool))  # r < s, row by row
+    # equation j: the real part, or the imaginary part where im[j] = 1, of
+    # entry (u, v) of P; mirror holds the places of (u, v) and of (v, u)
+    im = np.zeros(nn, dtype=np.intp)
+    im[n + 1 :: 2] = 1
+    mirror = np.empty((2, nn), dtype=np.intp)
+    mirror[:, :n] = np.arange(n) * (n + 1)
+    mirror[0, n::2] = mirror[0, n + 1 :: 2] = iv * n + iu
+    mirror[1, n::2] = mirror[1, n + 1 :: 2] = iu * n + iv
+    # the blocks of the two entries that make up each coordinate of the
+    # negated columns of x (first row) and of y (second row):
+    # Re -(V + V*) = -Re V[u, v] - Re V[v, u], Im -(V + V*) = -Im V[u, v] +
+    # Im V[v, u], Re -i(V - V*) = Im V[u, v] + Im V[v, u] and
+    # Im -i(V - V*) = -Re V[u, v] + Re V[v, u]
+    first = (np.array([[2, 3], [1, 2]])[:, im] * nn + mirror[0]).ravel()
+    second = (np.array([[2, 1], [1, 0]])[:, im] * nn + mirror[1]).ravel()
+    q = np.empty((nn, nn))  # row j is column j of the system
+    # take writes straight into out in the "clip" mode (every index is in
+    # range); in the default mode it writes to a buffer and copies that
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = gh.reshape(n, 4 * n, -1) @ g.transpose(0, 2, 1)  # s = r
+        np.take(w.reshape(n, -1), first[:nn], axis=1, out=q[:n], mode="clip")
+        lo = n
+        for r in range(n - 1):
+            w = (gh[(r + 1) * 4 * n :] @ g[r].T).reshape(n - 1 - r, -1)
+            out = q[lo : lo + 2 * len(w)].reshape(len(w), -1)
+            lo += 2 * len(w)
+            np.take(w, first, axis=1, out=out, mode="clip")
+            out += np.take(w, second, axis=1, mode="clip")
+    q.flat[:: nn + 1] += 1
+    rhs = np.zeros(nn)
+    rhs[:n] = 1.0
+    _, _, x, info = _DGESV(q.T, rhs, overwrite_a=1, overwrite_b=1)
     if info > 0:
         raise NoContractingNormError(_STEIN_SINGULAR)
-    return vec_p.reshape((n, n), order="F")
+    p = np.zeros((n, n), dtype=np.complex128)
+    p.real[np.diag_indices(n)] = x[:n]
+    p.real[iu, iv] = p.real[iv, iu] = x[n::2]
+    p.imag[iu, iv] = x[n + 1 :: 2]
+    p.imag[iv, iu] = -x[n + 1 :: 2]
+    return p
 
 
 def _stein_certificate(cs: list[np.ndarray]) -> ContractionCertificate:
@@ -525,14 +584,16 @@ def _certificate_search(
         if rate < 1.0:
             return ContractionCertificate(candidate, rate, "declared")
     if powers and len(cs) == 1:
-        power = c2 = cs[0] @ cs[0]
-        k = 2
-        while k <= _GELFAND_MAX_POWER and np.isfinite(power).all():
-            for candidate in norms:
-                val = float(_norms(power[None], candidate)[0])
-                if val < 1.0:
-                    return GelfandCertificate(candidate, val ** (1.0 / k), k)
-            power, k = power @ c2, k + 2
+        # a power past the largest double is inf, or NaN, and ends the search
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = c2 = cs[0] @ cs[0]
+            k = 2
+            while k <= _GELFAND_MAX_POWER and np.isfinite(power).all():
+                for candidate in norms:
+                    val = float(_norms(power[None], candidate)[0])
+                    if val < 1.0:
+                        return GelfandCertificate(candidate, val ** (1.0 / k), k)
+                power, k = power @ c2, k + 2
     if norm is not None:
         raise NoContractingNormError(f"no {norm.kind} norm below 1 was found")
     return _stein_certificate(cs)

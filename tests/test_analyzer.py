@@ -1,5 +1,6 @@
 import functools
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +31,10 @@ from blockprod import (
     spectral_certificate,
     uniform_certificate,
 )
-from blockprod.seqfile import format_report
+from blockprod.seqfile import format_report, parse_sequence_file
 from conftest import gelfand_only_c, random_block, random_complex, random_contracting
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 A_HALF = BlockUpperTriangular(1, [[1.0]], [[0.5]])
 A_TWO = BlockUpperTriangular(1, [[2.0]], [[0.5]])
@@ -647,6 +650,20 @@ class TestCertifyRcp:
         verdict = certify_rcp([a1, a2])
         assert verdict.certificate.kind == "lyapunov"
         assert not verdict.is_rcp
+
+    def test_lyapunov_set_fixture_has_an_exact_stein_solution(self, stein_solves):
+        # C_1 = [[0, 1+i], [0, 0]] and C_2 = [[0, 0], [0.5, 0]] have norms
+        # sqrt(2) and 0.5 in all three built-in norms, so no built-in norm
+        # contracts both; P - C_1* P C_1 - C_2* P C_2 = I is solved by
+        # P = diag(2.5, 6), whose rate is sqrt(5/6)
+        doc = parse_sequence_file(FIXTURES / "lyapunov_set.json")
+        verdict = certify_rcp(list(doc.members))
+        assert stein_solves == ["assembled"]
+        assert verdict.is_rcp
+        cert = verdict.certificate
+        assert cert.kind == "lyapunov"
+        assert np.array_equal(cert.norm.scaling, np.diag([2.5, 6.0]))
+        assert cert.rate == pytest.approx((5 / 6) ** 0.5, rel=1e-15)
 
     def test_refused_without_common_norm(self):
         grow = BlockUpperTriangular(1, [[1.0]], [[1.5]])

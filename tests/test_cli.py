@@ -51,6 +51,8 @@ GOLDEN_CASES = [
      1, "certify_pair_not_rcp.txt"),
     (("certify-rcp", "--input", str(FIXTURES / "pair_rcp.json")),
      0, "certify_pair_rcp.txt"),
+    (("certify-rcp", "--input", str(FIXTURES / "lyapunov_set.json")),
+     0, "certify_lyapunov_set.txt"),
     (("norm", "--input", str(FIXTURES / "nilpotent.json"), "--kind", "lyapunov"),
      0, "norm_nilpotent.txt"),
     (("analyze", "--input", str(FIXTURES / "violation.json")),
@@ -507,6 +509,26 @@ def test_process_exit_status(tmp_path):
 
 
 class TestNorm:
+    @pytest.mark.parametrize("kind", ["auto", "fro"])
+    def test_huge_entries_are_undecided_without_warnings(self, tmp_path, kind):
+        # the Frobenius sum of squares and the Gelfand powers overflow
+        path = tmp_path / "huge.json"
+        path.write_text("[[1e200, 2e200, -3e200], [5e199, 1e200, 1e200],"
+                        " [2e200, -1e200, 1e200]]")
+        src = str(Path(blockprod.__file__).parents[1])
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "blockprod.cli", "norm",
+             "--input", str(path), "--kind", kind],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr.startswith("undecided:")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_auto_prefers_gelfand(self, capsys):
         code, out, _ = run(
             capsys, "norm", "--input", str(FIXTURES / "nilpotent.json")

@@ -425,6 +425,33 @@ class TestNormValue:
         # into errors)
         assert norm_value(m, lyapunov_norm(p)) == pytest.approx(value, rel=rel, abs=0)
 
+    @pytest.mark.parametrize(
+        "m, value, rel",
+        [
+            (1e200 * np.ones((3, 3)), 3e200, 1e-15),
+            (np.array([[3e300, 4e300j]]), 5e300, 1e-15),
+            (np.full((2, 2), complex(BIG, BIG)), np.inf, 0),
+        ],
+        ids=["huge_matrix", "huge_row", "norm_above_the_largest_double"],
+    )
+    def test_overflowing_frobenius_sum_is_scaled(self, m, value, rel):
+        # the sum of squares is inf, so the value is 2^k ||2^-k M||_F, with no
+        # warning (pytest turns warnings into errors)
+        assert norm_value(m, FROBENIUS) == pytest.approx(value, rel=rel, abs=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        exponent=st.integers(-300, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_finite_frobenius_sum_keeps_its_bits(self, rows, cols, exponent, seed):
+        m = random_complex(np.random.default_rng(seed), rows, cols) * 10.0**exponent
+        f = m.ravel()
+        plain = np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
+        assert norm_value(m, FROBENIUS) == plain
+
     def test_ill_conditioned_scaling(self):
         # the generalized eigensolver read NaN here
         kind = lyapunov_norm(np.diag([1e300, 1e-300]))
@@ -566,6 +593,8 @@ class TestSteinSolve:
         p = _stein_schur(cs[0]) if len(cs) == 1 else _stein_assembled(cs)
         expected = kron_stein(cs)
         assert np.abs(p - expected).max() <= 1e-8 * np.abs(expected).max()
+        if len(cs) > 1:  # solved over the real coordinates of a Hermitian P
+            assert np.array_equal(p, p.conj().T)
         cert = _stein_certificate(cs)
         assert cert.kind == "lyapunov" and cert.rate < 1.0
         assert np.abs(cert.norm.scaling - p).max() <= 1e-8 * np.abs(p).max()
@@ -613,8 +642,31 @@ class TestSteinSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the system would take 16 m^4 bytes, about 92 MB
+        # the system would take 8 m^4 bytes, about 46 MB
         assert peak < 4e6
+
+    def test_singular_set_is_refused_without_warning(self):
+        # P - I P I - 0 P 0 = I has no solution: the system is exactly zero
+        cs = [np.eye(3), np.zeros((3, 3))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert uniform_certificate(cs) is None
+            with pytest.raises(NoContractingNormError, match="singular"):
+                _stein_assembled([as_matrix(c) for c in cs])
+
+    def test_set_solve_allocates_no_more_than_its_complex_system(self):
+        # an m = 16 set solve took 1049 KiB while its system was complex
+        # (16 m^4 bytes); the real system takes 8 m^4 bytes, 512 KiB
+        rng = np.random.default_rng(16)
+        cs = [0.1 * random_complex(rng, 16, 16) for _ in range(3)]
+        _stein_assembled(cs)
+        tracemalloc.start()
+        try:
+            _stein_assembled(cs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1049 * 1024
 
 
 class TestCertificateSearch:
@@ -796,6 +848,9 @@ with contextlib.redirect_stdout(io.StringIO()):
         blockprod.cli.main(
             ["norm", "--input", fixtures + "/nilpotent.json", "--kind", "lyapunov"]
         ),
+        blockprod.cli.main(
+            ["certify-rcp", "--input", fixtures + "/lyapunov_set.json"]
+        ),
     ]
 unwanted = {"scipy.linalg", "scipy.linalg._fblas", "numpy.f2py", "numpy.testing"}
 if sys.platform != "win32":
@@ -809,9 +864,10 @@ except OSError:
 import scipy.linalg
 lapack = scipy.linalg.get_lapack_funcs(
     ("getrf", "getrs", "gesv", "trtrs", "gees", "lange"), dtype=np.complex128
-)
+) + scipy.linalg.get_lapack_funcs(("gesv",), dtype=np.float64)
 held = (matrixcore._GETRF, matrixcore._GETRS, matrixcore._GESV,
-        matrixcore._TRTRS, matrixcore._GEES, matrixcore._LANGE)
+        matrixcore._TRTRS, matrixcore._GEES, matrixcore._LANGE,
+        matrixcore._DGESV)
 print(json.dumps({
     "codes": codes,
     "loaded": loaded,
@@ -845,10 +901,10 @@ class TestLapackSource:
     def test_a_process_never_loads_scipy_linalg(self, tmp_path):
         out = run_fresh(LOADED_MODULES_SCRIPT, str(FIXTURES), cwd=tmp_path)
         assert json.loads(out) == {
-            "codes": [0, 0],
+            "codes": [0, 0, 0],
             "loaded": [],
             "mapped": ["_flapack"] if sys.platform == "linux" else None,
-            "same_lapack": [True] * 6,
+            "same_lapack": [True] * 7,
             "attributes": [True, True],
         }
 
