@@ -28,6 +28,7 @@ from .matrixcore import (
     GelfandCertificate,
     _certificate_search,
     _norms,
+    _stack,
     as_matrix,
     norm_value,  # noqa: F401  (not called here; perfbench/tracing.py patches it)
     require_per_factor,
@@ -191,11 +192,14 @@ def _certificate_for_members(
     cert: ContractionCertificate | None,
     powers: bool = False,
 ) -> ContractionCertificate | GelfandCertificate:
-    """Check a given certificate against every member, or search the C-blocks
-    for one, with powers of a lone distinct C-block if *powers* is set."""
+    """Check a given certificate against every member, by one
+    ``_violation`` call on their stacked C-blocks as the step engine makes
+    for a chunk, or search the C-blocks for one, with powers of a lone
+    distinct C-block if *powers* is set."""
     if cert is not None:
-        for i, a in enumerate(members, start=1):
-            cert.check(a, i)
+        violation = cert._violation(_stack([a.c for a in members]), 1)
+        if violation is not None:
+            raise violation
         return cert
     try:
         return _certificate_search([a.c for a in members], powers=powers)
@@ -210,14 +214,31 @@ def _worst_candidate_pair(
 ) -> tuple[list[np.ndarray], tuple[int, int] | None]:
     """The limit candidates L_i = B_i (I - C_i)^{-1} of *members*, and the
     pair (i, j), i < j, farthest apart in Frobenius distance when that
-    distance exceeds *tol* (the first pair within 1e-15 of it), else None."""
+    distance exceeds *tol* (the first pair within 1e-15 of it), else None.
+
+    Member i's distances to the members j > i are one ``_norms`` call on
+    their differences, so k members take k - 1 calls and never more than
+    k - 1 differences at once; a distance whose sum of squares overflows is
+    still finite.  Two finite candidates' difference overflows only where a
+    part of an entry reaches 2^1023; there the candidates are halved, which
+    is exact, and half gaps are ranked against half *tol*, so the farthest
+    pair of finite candidates is found at any scale of B."""
     ls = [a.limit for a in members]
-    pairs = itertools.combinations(range(len(ls)), 2)
-    gaps = {(i, j): float(np.linalg.norm(ls[i] - ls[j])) for i, j in pairs}
-    worst = max(gaps.values(), default=0.0)
-    if worst <= tol:
+    st = _stack(ls)
+    scale = 1.0
+    if max(np.abs(st.real).max(initial=0), np.abs(st.imag).max(initial=0)) >= 2.0**1023:
+        scale, st = 0.5, st * 0.5
+    gaps = [
+        gap
+        for i in range(len(ls) - 1)
+        for gap in _norms(st[i] - st[i + 1 :], FROBENIUS).tolist()
+    ]
+    worst = max(gaps, default=0.0)
+    if worst <= tol * scale:
         return ls, None
-    return ls, next(pair for pair, gap in gaps.items() if gap >= worst - 1e-15)
+    pairs = itertools.combinations(range(len(ls)), 2)
+    tie = worst - 1e-15 * scale
+    return ls, next(pair for pair, gap in zip(pairs, gaps) if gap >= tie)
 
 
 def _analyze_cycle(
@@ -434,7 +455,7 @@ def corollary1_analyze(
         a = chunk[i]
         if a.c.shape != c_limit.shape:
             raise ShapeError("the C-blocks do not conform to c_limit")
-        if np.linalg.norm(a.c - c_limit) > cfg.eps:
+        if _norms((a.c - c_limit)[None], FROBENIUS)[0] > cfg.eps:
             raise AnalysisRefusedError(
                 f"the C-block of stream factor {read + i + 1} is farther than "
                 "eps from c_limit"
@@ -462,10 +483,11 @@ def certify_rcp(
 
     The set has the property exactly when all members share the same limit
     candidate B (I - C)^{-1}, to within *atol* in every pair (the rule
-    :func:`analyze` applies to a cycle).  On failure, the first worst pair
-    is reported with every distinct phase limit of its alternating product
-    as a divergence witness.  Requires one common contracting norm over the
-    whole set.
+    :func:`analyze` applies to a cycle, Frobenius distances from
+    ``matrixcore._norms``, finite at any scale of B for finite candidates).
+    On failure, the farthest pair (the first within 1e-15 of it) is
+    reported with every distinct phase limit of its alternating product as
+    a divergence witness.  Requires one common contracting norm over the whole set.
     """
     if not 0 <= atol < math.inf:
         raise ValueError(f"atol must be a finite number >= 0, got {atol!r}")

@@ -71,3 +71,21 @@ def stein_solves(monkeypatch):
 
         monkeypatch.setattr(matrixcore, name, counted)
     return calls
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """The stack lengths of every ``_norms`` call made while the test runs,
+    from ``matrixcore`` (certificate checks) or ``analyzer``."""
+    from blockprod import analyzer, matrixcore
+
+    calls = []
+    original = matrixcore._norms
+
+    def counted(st, kind):
+        calls.append(len(st))
+        return original(st, kind)
+
+    monkeypatch.setattr(matrixcore, "_norms", counted)
+    monkeypatch.setattr(analyzer, "_norms", counted)
+    return calls

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from blockprod import (
     spectral_certificate,
     uniform_certificate,
 )
+from blockprod.analyzer import _certificate_for_members, _worst_candidate_pair
 from blockprod.seqfile import format_report, parse_sequence_file
 from conftest import gelfand_only_c, random_block, random_complex, random_contracting
 
@@ -703,3 +705,99 @@ class TestUniformCertificate:
 
     def test_none_when_hopeless(self):
         assert uniform_certificate([np.array([[2.0]])]) is None
+
+
+def reference_pair(members, tol):
+    """The worst pair by one np.linalg.norm call per pair: the first pair
+    within 1e-15 of the largest gap, if that exceeds *tol*."""
+    ls = [a.limit for a in members]
+    pairs = itertools.combinations(range(len(ls)), 2)
+    gaps = {(i, j): float(np.linalg.norm(ls[i] - ls[j])) for i, j in pairs}
+    worst = max(gaps.values(), default=0.0)
+    if worst <= tol:
+        return gaps, None
+    return gaps, next(pair for pair, gap in gaps.items() if gap >= worst - 1e-15)
+
+
+@st.composite
+def candidate_sets(draw):
+    """1-5 members, s, m <= 4, with C-blocks contracting in the inf norm and
+    limit candidates on one line through a base point: the offsets repeat,
+    tie within 1e-15 and vary in size, and the scale reaches 1e150, where
+    every sum of squares is still finite."""
+    k, s, m = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-30, 1e-3, 1.0, 1e20, 1e150]))
+    base, direction = random_complex(rng, s, m), random_complex(rng, s, m)
+    offsets = st.sampled_from([0.0, 1.0, -1.0, 2.0, 1.0 + 4e-16, -1.0 - 4e-16, 3.0])
+    return tuple(
+        with_candidate(scale * (base + t * direction), random_contracting(rng, m))
+        for t in draw(st.lists(offsets, min_size=k, max_size=k))
+    )
+
+
+class TestWorstCandidatePair:
+    @settings(max_examples=150, deadline=None)
+    @given(members=candidate_sets(), tol_choice=st.integers(0, 12))
+    def test_matches_a_loop_over_pairs(self, members, tol_choice):
+        gaps, _ = reference_pair(members, 0.0)
+        # no tolerance, a tolerance that is one of the gaps, or a loose one
+        values = sorted(gaps.values())
+        tol = [0.0, *values, 1e300][tol_choice % (len(values) + 2)]
+        _, expected = reference_pair(members, tol)
+        ls, pair = _worst_candidate_pair(members, tol)
+        assert pair == expected
+        assert all(np.array_equal(l, a.limit) for l, a in zip(ls, members))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_one_norm_call_per_member_but_the_last(self, rng, norm_calls, k):
+        members = [random_block(rng, 2, 3) for _ in range(k)]
+        norm_calls.clear()  # the norms that scaled the random C-blocks
+        _worst_candidate_pair(members, 0.0)
+        # member i's gaps to the k - 1 - i members after it
+        assert norm_calls == list(range(k - 1, 0, -1))
+
+    def test_given_certificate_is_checked_by_one_norm_call(self, rng, norm_calls):
+        members = [random_block(rng, 2, 3, cnorm=0.8) for _ in range(4)]
+        cert = ContractionCertificate(INF_NORM, 0.8)
+        norm_calls.clear()  # the norms that scaled the random C-blocks
+        assert _certificate_for_members(members, cert) is cert
+        assert norm_calls == [4]
+        # the first member above the rate is named, as by check on each
+        norm_calls.clear()
+        members[2] = BlockUpperTriangular(2, members[2].b, 0.9 * np.eye(3))
+        members[3] = BlockUpperTriangular(2, members[3].b, 0.95 * np.eye(3))
+        with pytest.raises(CertificateViolationError) as exc:
+            _certificate_for_members(members, cert)
+        assert (exc.value.step, exc.value.value) == (3, 0.9)
+        assert norm_calls == [4]
+
+    @pytest.mark.parametrize("name", ["huge_b_cycle.json", "huge_b_set.json"])
+    def test_huge_candidates_name_the_farthest_pair(self, name):
+        # every gap of these candidates near 2^997 overflows a plain sum of
+        # squares; scaled by 2^-1000 the plain norms rank them
+        members = parse_sequence_file(FIXTURES / name).members
+        ls, pair = _worst_candidate_pair(members, 1e-10)
+        scaled = {
+            (i, j): np.linalg.norm((ls[i] - ls[j]) * 2.0**-1000)
+            for i, j in itertools.combinations(range(len(ls)), 2)
+        }
+        assert pair == max(scaled, key=scaled.get) == (1, 2)
+        assert certify_rcp(members).violating_pair == pair
+        assert analyze(Periodic(members)).verdict is Verdict.CERTIFIED_DIVERGED
+
+    @pytest.mark.parametrize("unit", [1.0, 1j])
+    def test_differences_above_the_largest_double(self, unit):
+        # the gaps (0, 1) and (1, 2) are 3e308 and 3.1e308, beyond the
+        # largest double, and a plain difference of the candidates overflows
+        c = np.zeros((1, 1))
+        members = [
+            BlockUpperTriangular(1, np.array([[b * unit]]), c)
+            for b in (1.5e308, -1.5e308, 1.6e308)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, pair = _worst_candidate_pair(members, 1e-10)
+            assert pair == (1, 2)
+            assert _worst_candidate_pair(members, 1e308)[1] == (1, 2)
+            assert _worst_candidate_pair(members[:1] * 2, 1e-10)[1] is None

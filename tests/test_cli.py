@@ -55,6 +55,10 @@ GOLDEN_CASES = [
      0, "certify_lyapunov_set.txt"),
     (("norm", "--input", str(FIXTURES / "nilpotent.json"), "--kind", "lyapunov"),
      0, "norm_nilpotent.txt"),
+    (("analyze", "--input", str(FIXTURES / "huge_b_cycle.json")),
+     0, "analyze_huge_b_cycle.txt"),
+    (("certify-rcp", "--input", str(FIXTURES / "huge_b_set.json")),
+     1, "certify_huge_b_set.txt"),
     (("analyze", "--input", str(FIXTURES / "violation.json")),
      3, "analyze_violation.txt"),
     (("analyze", "--input", str(FIXTURES / "malformed.json")),
@@ -294,6 +298,67 @@ def test_large_b_passes_the_deviation_identity(capsys, tmp_path, b):
     assert "dense cross-check: OK (|diff| <= 1e-11)" in out.splitlines()
 
 
+def three_member_file(tmp_path, scale):
+    """Three periodic members, s = 1 and m = 4, with inf norms of C 0.9 and
+    B scaled by *scale*."""
+    rng = np.random.default_rng(7)
+    members = []
+    for _ in range(3):
+        c = rng.standard_normal((4, 4))
+        c *= 0.9 / np.abs(c).sum(axis=1).max()
+        b = rng.standard_normal((1, 4)) * scale
+        members.append({"B": b.tolist(), "C": c.tolist()})
+    path = tmp_path / "three.json"
+    doc = {"kind": "periodic", "s": 1, "d": 5, "matrices": members}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+SCALED_RULE = "dense cross-check: OK (|diff| <= 1e-11 max(1, |entry|))"
+
+
+@pytest.mark.parametrize("scale", [1e6, 2.0**40, 1e12])
+def test_cross_check_scales_with_the_entries(capsys, tmp_path, scale):
+    # the engine and the oracle differ by less than one ulp of the entries,
+    # which once failed the absolute bound of 1e-11 from about 1e6 on
+    path = three_member_file(tmp_path, scale)
+    code, out, err = run(capsys, "product", "--input", str(path), "--n", "200")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == SCALED_RULE
+
+
+def test_cross_check_keeps_the_absolute_rule_where_it_holds(capsys, tmp_path):
+    path = three_member_file(tmp_path, 1e4)
+    code, out, _ = run(capsys, "product", "--input", str(path), "--n", "200")
+    assert code == 0
+    assert out.splitlines()[-1] == "dense cross-check: OK (|diff| <= 1e-11)"
+
+
+@pytest.mark.parametrize(
+    "scale, row, size",
+    [(1.0, 0, 1e-9), (1e6, 0, 1e-9), (1e6, -1, 1e-9), (1.0, -1, np.nan)],
+    ids=["X-1.0", "X-1e6", "gamma-1e6", "gamma-nan"],
+)
+def test_cross_check_fails_on_a_wrong_dense_product(
+    capsys, tmp_path, monkeypatch, scale, row, size
+):
+    # row 0 holds an X entry, which scales with B; row -1 a gamma entry,
+    # which does not, so its own size (below 1 here) bounds its difference;
+    # a NaN in one block fails however small the other block's difference
+    def perturbed(prefix, cycle, n):
+        dense = original(prefix, cycle, n)
+        dense[row, -1] += max(1.0, np.abs(dense[row]).max()) * size
+        return dense
+
+    original = cli._dense_cycle_product
+    monkeypatch.setattr(cli, "_dense_cycle_product", perturbed)
+    path = three_member_file(tmp_path, scale)
+    code, out, _ = run(capsys, "product", "--input", str(path), "--n", "200")
+    assert code == 3
+    # a failure names the scaled rule, the last one it was held to
+    assert out.splitlines()[-1] == SCALED_RULE.replace("OK", "FAILED")
+
+
 def test_product_n_below_one_is_parse_error(capsys):
     code, out, err = run(
         capsys, "product", "--input", str(FIXTURES / "constant.json"), "--n", "0"
@@ -506,6 +571,28 @@ def test_process_exit_status(tmp_path):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("parse error:")
+
+
+@pytest.mark.parametrize("argv,expected_code,golden", [
+    (("analyze",), 0, "analyze_huge_b_cycle.txt"),
+    (("certify-rcp",), 1, "certify_huge_b_set.txt"),
+], ids=["analyze", "certify-rcp"])  # fmt: skip
+def test_huge_b_runs_without_warnings(argv, expected_code, golden):
+    # every gap between the limit candidates near 2^997 overflows a plain
+    # sum of squares, which printed numpy's "overflow encountered in dot"
+    name = "huge_b_cycle.json" if argv[0] == "analyze" else "huge_b_set.json"
+    src = str(Path(blockprod.__file__).parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "blockprod.cli",
+         *argv, "--input", str(FIXTURES / name)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )  # fmt: skip
+    assert (proc.returncode, proc.stderr) == (expected_code, "")
+    assert proc.stdout == (GOLDEN / golden).read_text()
 
 
 class TestNorm:

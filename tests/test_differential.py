@@ -1,0 +1,76 @@
+"""tools/differential.py finds no difference between a tree and its copy,
+and reports every run that a planted change moves."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import blockprod
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "differential.py"
+SRC = Path(blockprod.__file__).resolve().parents[1]
+
+
+def differential(*args):
+    return subprocess.run(
+        [sys.executable, str(TOOL), *map(str, args)],
+        capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+
+
+def run_tree(src, out):
+    proc = differential("run", "--src", src, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in out.read_text().splitlines()]
+
+
+@pytest.fixture(scope="module")
+def baseline(tmp_path_factory):
+    out = tmp_path_factory.mktemp("differential") / "src.jsonl"
+    return out, run_tree(SRC, out)
+
+
+def copy_of_src(tmp_path):
+    copy = tmp_path / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
+def test_a_copy_does_not_differ(baseline, tmp_path):
+    out, records = baseline
+    copied = run_tree(copy_of_src(tmp_path), tmp_path / "copy.jsonl")
+    assert copied == records
+    # every subcommand runs, on fixtures and on generated files at each scale
+    commands = {r["argv"][0] for r in records}
+    assert commands == {"product", "analyze", "certify-rcp", "norm"}
+    assert any(r["csv"] for r in records)
+    names = " ".join(r["argv"][2] for r in records)
+    assert "<fixtures>/constant.json" in names and "-b2^997.json" in names
+    proc = differential("compare", out, tmp_path / "copy.jsonl")
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout == f"{len(records)} runs in both; 0 moved; 0 in one file only\n"
+
+
+def test_a_planted_change_is_reported_run_by_run(baseline, tmp_path):
+    out, records = baseline
+    copy = copy_of_src(tmp_path)
+    seqfile = copy / "blockprod" / "seqfile.py"
+    text, line = seqfile.read_text(), 'format(float(x), ".17g")'
+    assert line in text
+    seqfile.write_text(text.replace(line, line.replace("17g", "16g")))
+    planted = run_tree(copy, tmp_path / "planted.jsonl")
+    moved = {" ".join(a["argv"]) for a, b in zip(records, planted) if a != b}
+    proc = differential("compare", out, tmp_path / "planted.jsonl")
+    assert proc.returncode == 1
+    # each moved run is listed on a line of its own, indented by two spaces
+    lines = proc.stdout.splitlines()
+    listed = {line[2:] for line in lines if line[:2] == "  " and line[2] != " "}
+    assert listed == moved
+    assert f"; {len(moved)} moved;" in lines[0]
+    # fmt_float prints product's deviation bound and trace, and norm's
+    # value; analyze and certify-rcp print cycles through fmt_matrix only
+    assert {argv.split()[0] for argv in moved} == {"product", "norm"}

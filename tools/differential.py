@@ -1,0 +1,257 @@
+"""Run the blockprod CLI of one source tree on a fixed set of inputs, and
+compare the outputs of two trees.
+
+    python tools/differential.py run --src DIR --out FILE
+    python tools/differential.py compare A B
+
+``run`` imports ``blockprod`` from DIR (the directory that holds the
+package, such as a checkout's ``src``) in this one process and calls
+``blockprod.cli.main`` once per run.  The runs are ``product`` (with
+``--trace`` to a temporary file), ``analyze``, ``certify-rcp`` and ``norm
+--kind`` of each kind, on every file in ``tests/fixtures/`` beside this
+script and on seeded periodic, finite and set files: s <= 3, m <= 5, dense,
+triangular and nilpotent C-blocks, real or complex, with or without a
+declared certificate, and every B-block scaled by 2^k for k in
+{-30, 0, 20, 40, 997}.  The files depend only on SEEDS and on numpy,
+so two trees get the same inputs.  FILE gets one JSON line per run: the
+argv, the exit code, stdout, stderr and the trace CSV, with file paths
+replaced by placeholders and the paths and line numbers of warnings
+dropped.  Warnings are shown once per run and place, as a fresh process
+shows them.
+
+``compare`` prints the runs whose records differ, grouped by subcommand
+and exit-code transition, with the first line that moved in each output,
+and exits 1 if any run moved or is in one file only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import itertools
+import json
+import re
+import sys
+import tempfile
+import traceback
+import warnings
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+FIXTURES = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
+SEEDS = (1, 2)
+CASES = 40  # seeded bases per seed
+SCALE_EXPONENTS = (-30, 0, 20, 40, 997)
+NORM_KINDS = ("auto", "inf", "one", "fro", "lyapunov")
+FILE_KINDS = ("periodic", "finite", "set")
+C_SHAPES = ("dense", "triangular", "nilpotent")
+# "/any/dir/name.py:123: " as a warning starts, kept as "name.py: "
+WARNING_PLACE = re.compile(r"(?:[^\s:]*[/\\])?([^\s/\\:]+\.py):\d+:")
+
+
+def _entries(a: np.ndarray):
+    """*a* as the nested lists of a sequence file: [re, im] where complex."""
+    if not np.iscomplexobj(a):
+        return a.tolist()
+    return [[[z.real, z.imag] for z in row] for row in a.tolist()]
+
+
+def _c_block(rng: np.random.Generator, m: int, shape: str, draw) -> np.ndarray:
+    if shape == "nilpotent":
+        return np.triu(draw(m, m), 1)
+    if shape == "triangular":
+        # a contracting diagonal under a strong off-diagonal part: the
+        # built-in norms often fail, and powers or a Stein solve certify it
+        c = np.triu(draw(m, m), 1) * rng.uniform(0.5, 5.0)
+        c[np.diag_indices(m)] = rng.uniform(-0.95, 0.95, m)
+        return c
+    c = draw(m, m)
+    radius = np.abs(np.linalg.eigvals(c)).max()
+    # spectral radii from 0.2 to 1.05: some sets expand, and are refused
+    return c * (rng.uniform(0.2, 1.05) / radius) if radius else c
+
+
+def _declared(rng: np.random.Generator, cs: list[np.ndarray]) -> dict:
+    """No certificate in a third of the cases, else a declared built-in
+    norm whose rate is the largest member norm rounded up to three digits.
+    Where that is not below 1, no certificate or the violated rate 0.95,
+    half each."""
+    if rng.integers(3) == 0:
+        return {}
+    kind = ("inf", "one", "fro")[rng.integers(3)]
+    values = [
+        np.abs(c).sum(axis=1).max() if kind == "inf"
+        else np.abs(c).sum(axis=0).max() if kind == "one"
+        else np.sqrt((np.abs(c) ** 2).sum())
+        for c in cs
+    ]  # fmt: skip
+    rate = float(f"{max(values):.3g}") + 0.001
+    if rate >= 1 and rng.integers(2):
+        return {}
+    return {"norm": kind, "rate": rate if rate < 1 else 0.95}
+
+
+def generate(directory: Path) -> list[list[str]]:
+    """Write the seeded files into *directory* and return the argv of every
+    run on them, with *directory* written as ``<gen>``."""
+    runs = []
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        for case in range(CASES):
+            kind = FILE_KINDS[case % 3]
+            s, m, k = (int(v) for v in rng.integers(1, (4, 6, 5)))
+            complex_ = bool(rng.integers(2))
+
+            def draw(*size):
+                x = rng.standard_normal(size)
+                return x + 1j * rng.standard_normal(size) if complex_ else x
+
+            shape = C_SHAPES[rng.integers(3)]
+            cs = [_c_block(rng, m, shape, draw) for _ in range(k)]
+            if k > 1 and rng.random() < 0.3:  # one C-block shared by all
+                cs = [cs[0]] * k
+            bs = [draw(s, m) for _ in range(k)]
+            cert = {} if kind == "set" else _declared(rng, cs)
+            n = int(rng.integers(1, 61))
+            stem = f"s{seed}-case{case}-{kind}-{shape}"
+            for e in SCALE_EXPONENTS:
+                matrices = [
+                    {"B": _entries(b * 2.0**e), "C": _entries(c)}
+                    for b, c in zip(bs, cs)
+                ]
+                doc = {"kind": kind, "s": s, "d": s + m, **cert, "matrices": matrices}
+                name = f"{stem}-b2^{e}.json"
+                (directory / name).write_text(json.dumps(doc))
+                path = f"<gen>/{name}"
+                if kind == "set":
+                    runs.append(["certify-rcp", "--input", path])
+                else:
+                    runs.append(["product", "--input", path, "--n", str(n)])
+                    runs.append(["analyze", "--input", path])
+            name = f"{stem}-c.json"
+            (directory / name).write_text(json.dumps({"matrix": _entries(cs[0])}))
+            path = f"<gen>/{name}"
+            runs.extend(["norm", "--input", path, "--kind", k] for k in NORM_KINDS)
+    return runs
+
+
+def fixture_runs() -> list[list[str]]:
+    runs = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        name = f"<fixtures>/{path.name}"
+        runs.append(["product", "--input", name, "--n", "7"])
+        runs.append(["analyze", "--input", name])
+        runs.append(["certify-rcp", "--input", name])
+        runs.extend(["norm", "--input", name, "--kind", k] for k in NORM_KINDS)
+    return runs
+
+
+def _call(main, argv: list[str]) -> tuple[object, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # a fresh filter state forgets the warnings already shown
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's errors
+                code = exc.code
+            except Exception as exc:  # a defect: recorded, not raised
+                code = f"raised {type(exc).__name__}"
+                err.write(traceback.format_exception_only(exc)[-1])
+    return code, out.getvalue(), err.getvalue()
+
+
+def cmd_run(args) -> int:
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import blockprod.cli
+
+    if Path(blockprod.cli.__file__).resolve().parents[1] != src:
+        sys.exit(f"blockprod was imported from {blockprod.cli.__file__}, not {src}")
+    runs = fixture_runs()
+    with tempfile.TemporaryDirectory() as tmp:
+        gen = Path(tmp) / "gen"
+        gen.mkdir()
+        runs += generate(gen)
+        trace = Path(tmp) / "trace.csv"
+        places = {"<fixtures>": str(FIXTURES), "<gen>": str(gen), "<trace>": str(trace)}
+
+        def expand(arg: str) -> str:
+            token = arg.split("/")[0]
+            return places[token] + arg[len(token) :] if token in places else arg
+
+        def normalise(text: str) -> str:
+            for token, path in places.items():
+                text = text.replace(path, token)
+            return WARNING_PLACE.sub(r"\1:", text)
+
+        with open(args.out, "w", encoding="utf-8") as fh:
+            for argv in runs:
+                if argv[0] == "product":
+                    argv = [*argv, "--trace", "<trace>"]
+                trace.unlink(missing_ok=True)
+                code, out, err = _call(blockprod.cli.main, [*map(expand, argv)])
+                csv = trace.read_text(encoding="utf-8") if trace.exists() else None
+                record = {"argv": argv, "code": code, "stdout": normalise(out),
+                          "stderr": normalise(err), "csv": csv}  # fmt: skip
+                fh.write(json.dumps(record) + "\n")
+    print(f"{len(runs)} runs of {src} written to {args.out}")
+    return 0
+
+
+def _load(path) -> dict[tuple, dict]:
+    with open(path, encoding="utf-8") as fh:
+        return {tuple(r["argv"]): r for r in map(json.loads, fh)}
+
+
+def _first_moved_line(a: str | None, b: str | None) -> str:
+    left = [] if a is None else a.splitlines()
+    right = [] if b is None else b.splitlines()
+    for i, (x, y) in enumerate(itertools.zip_longest(left, right)):
+        if x != y:
+            return f"line {i + 1}: {x!r} -> {y!r}"
+    return "line endings"
+
+
+def cmd_compare(args) -> int:
+    a, b = _load(args.a), _load(args.b)
+    groups = defaultdict(list)
+    for argv in sorted(a.keys() & b.keys()):
+        ra, rb = a[argv], b[argv]
+        fields = [f for f in ("stdout", "stderr", "csv") if ra[f] != rb[f]]
+        if fields or ra["code"] != rb["code"]:
+            groups[argv[0], ra["code"], rb["code"]].append((argv, fields))
+    only = sorted(a.keys() ^ b.keys())
+    moved = sum(map(len, groups.values()))
+    print(f"{len(a.keys() & b.keys())} runs in both; {moved} moved; "
+          f"{len(only)} in one file only")  # fmt: skip
+    for (command, code_a, code_b), items in sorted(groups.items(), key=str):
+        print(f"{command}, exit {code_a} -> {code_b}: {len(items)} moved")
+        for argv, fields in items:
+            print("  " + " ".join(argv))
+            for f in fields:
+                print(f"    {f} {_first_moved_line(a[argv][f], b[argv][f])}")
+    for argv in only:
+        print(f"only in {args.a if argv in a else args.b}: {' '.join(argv)}")
+    return 1 if moved or only else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("run", help="run one tree's CLI on every input")
+    p.add_argument("--src", required=True, help="the directory holding blockprod/")
+    p.add_argument("--out", required=True, help="the JSON-lines file to write")
+    p = sub.add_parser("compare", help="list the runs that moved from A to B")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    return cmd_run(args) if args.command == "run" else cmd_compare(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
