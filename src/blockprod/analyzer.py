@@ -389,11 +389,11 @@ def analyze(
     factors: a stream may be read up to 19 factors past the step where a
     verdict fires (never past the horizon), and a failure at a later step of
     that chunk, raised by a check or by the stream itself, is not raised.  Raises
-    :class:`AnalysisRefusedError` when no certificate is obtained,
-    :class:`CertificateViolationError` when the data contradict a given
-    one, and :class:`InvalidCertificateError` when a given one is not a
-    :class:`ContractionCertificate` (a Gelfand certificate bounds no
-    factor).
+    :class:`AnalysisRefusedError` when no certificate is obtained or a limit
+    candidate is not finite, :class:`CertificateViolationError` when the data
+    contradict a given one, and :class:`InvalidCertificateError` when a given
+    one is not a :class:`ContractionCertificate` (a Gelfand certificate bounds
+    no factor).
     """
     cfg = cfg or AnalyzerConfig()
     if cert is not None:
@@ -484,10 +484,11 @@ def certify_rcp(
     The set has the property exactly when all members share the same limit
     candidate B (I - C)^{-1}, to within *atol* in every pair (the rule
     :func:`analyze` applies to a cycle, Frobenius distances from
-    ``matrixcore._norms``, finite at any scale of B for finite candidates).
-    On failure, the farthest pair (the first within 1e-15 of it) is
-    reported with every distinct phase limit of its alternating product as
-    a divergence witness.  Requires one common contracting norm over the whole set.
+    ``matrixcore._norms``, finite at any scale of B; a candidate that is
+    not finite raises :class:`AnalysisRefusedError`).  On failure, the
+    farthest pair (the first within 1e-15 of it) is reported with every
+    distinct phase limit of its alternating product as a divergence
+    witness.  Requires one common contracting norm over the whole set.
     """
     if not 0 <= atol < math.inf:
         raise ValueError(f"atol must be a finite number >= 0, got {atol!r}")

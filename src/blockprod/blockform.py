@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SingularMatrixError
+from .errors import AnalysisRefusedError, BlockprodError, ShapeError
 from .matrixcore import _solve_right_each, _stack, as_matrix
 
 __all__ = ["BlockUpperTriangular", "block_mul"]
@@ -23,31 +23,39 @@ def _read_only_copy(data) -> np.ndarray:
 
 def _limits(
     factors: Sequence[BlockUpperTriangular],
-) -> tuple[list[np.ndarray], SingularMatrixError | None]:
+) -> tuple[list[np.ndarray], BlockprodError | None]:
     """The :attr:`~BlockUpperTriangular.limit` of each of the conforming
     *factors* in order, up to the first whose I - C is singular to working
-    precision, and that factor's :class:`SingularMatrixError` (None when
-    there is none).
+    precision or whose candidate has an entry that is not finite, and that
+    factor's :class:`SingularMatrixError` or :class:`AnalysisRefusedError`
+    (None when there is none).
 
     The distinct factors not solved before get one LU factorization each,
     with the pivot rule checked over all of them in one call, and keep
-    their results, so a factor that recurs is factored once.
+    their finite results, so a factor that recurs is factored once.
     """
     todo = [a for a in {id(a): a for a in factors}.values() if "_limit" not in vars(a)]
-    singular = None
+    error = None
     if todo:
         eye = np.eye(todo[0].csize, dtype=np.complex128)
-        ls, singular = _solve_right_each(
+        ls, error = _solve_right_each(
             [a.b for a in todo], eye - _stack([a.c for a in todo])
         )
+        # one check of all the candidates (np.concatenate copies them faster
+        # than np.array); only a failure looks for the first that is not finite
+        if ls and not np.isfinite(np.concatenate(ls)).all():
+            ls = ls[: next(i for i, l in enumerate(ls) if not np.isfinite(l).all())]
+            error = AnalysisRefusedError(
+                "limit candidate B (I - C)^-1 has an entry that is not finite"
+            )
         for a, l in zip(todo, ls):
             l.setflags(write=False)
             vars(a)["_limit"] = l
     out = []
     for a in factors:
         l = vars(a).get("_limit")
-        if l is None:  # the first singular factor
-            return out, singular
+        if l is None:  # the first factor that failed
+            return out, error
         out.append(l)
     return out, None
 
@@ -90,11 +98,12 @@ class BlockUpperTriangular:
         that recurs in a product is factored once, whether it was first
         solved here or in a chunk of the step engine.  Raises
         :class:`SingularMatrixError` when I - C is singular to working
-        precision.
+        precision, and :class:`AnalysisRefusedError` when the candidate has
+        an entry that is not finite, which is not kept.
         """
-        ls, singular = _limits((self,))
-        if singular is not None:
-            raise singular
+        ls, error = _limits((self,))
+        if error is not None:
+            raise error
         return ls[0]
 
     @property

@@ -45,8 +45,8 @@ class DeviationIdentityError(BlockprodError, ArithmeticError):
 
 
 class AnalysisRefusedError(BlockprodError):
-    """No contraction certificate is obtainable, so the convergence test
-    hypothesis cannot be verified."""
+    """No contraction certificate is obtainable, or a limit candidate is not
+    finite, so the convergence test hypothesis cannot be verified."""
 
 
 class ParseError(BlockprodError, ValueError):

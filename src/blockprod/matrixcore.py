@@ -9,17 +9,17 @@ evaluator, on a one-matrix stack, and ``_solve_right_each``.  The step
 engine calls both directly on stacks of matrices that were validated when
 their factor was built.
 
-The seven LAPACK routines used here (``zgetrf``, ``zgetrs``, ``zgesv``,
-``ztrtrs``, ``zgees``, ``zlange`` and ``dgesv``, which solves the real Stein
-system of a set) are taken from ``_flapack``, the one
-compiled extension module of SciPy's ``linalg`` package that is loaded,
-straight from its file, and are called with the arguments that package's
-functions pass, so the results are its results bit for bit.  Importing the
-package itself would run its Python layer, which pulls in ``numpy.f2py``,
-``numpy.testing`` and more, and would double a process's start-up; the file
-is found without running ``scipy/__init__.py`` either, except on Windows.
-Nothing is added to ``sys.modules``, so a program that imports the package
-later gets the same routine objects.
+The five LAPACK routines used here, one per job (``zgetrf`` and ``zgetrs``
+for limit candidates, ``ztrtrs``, ``zgees``, and ``dgesv`` for the real Stein
+system of a set), are taken from ``_flapack``, the one compiled extension
+module of SciPy's ``linalg`` package that is loaded, straight from its file,
+and are called with the arguments that package's functions pass, so the
+results are its results bit for bit.  Importing the package itself would run
+its Python layer, which pulls in ``numpy.f2py``, ``numpy.testing`` and more,
+and would double a process's start-up; the file is found without running
+``scipy/__init__.py`` either, except on Windows.  Nothing is added to
+``sys.modules``, so a program that imports the package later gets the same
+routine objects.
 """
 
 from __future__ import annotations
@@ -90,9 +90,8 @@ def _scipy_extension(name: str):
 
 
 _FLAPACK = _scipy_extension("_flapack")
-_GETRF, _GETRS, _GESV = _FLAPACK.zgetrf, _FLAPACK.zgetrs, _FLAPACK.zgesv
-_TRTRS, _GEES, _LANGE = _FLAPACK.ztrtrs, _FLAPACK.zgees, _FLAPACK.zlange
-_DGESV = _FLAPACK.dgesv
+_GETRF, _GETRS, _TRTRS = _FLAPACK.zgetrf, _FLAPACK.zgetrs, _FLAPACK.ztrtrs
+_GEES, _DGESV = _FLAPACK.zgees, _FLAPACK.dgesv
 
 
 def as_matrix(data) -> np.ndarray:
@@ -255,18 +254,6 @@ def solve_right(b, m) -> np.ndarray:
     return xs[0]
 
 
-def _lu_solve(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The LU factors of m and the solution x of m x = b, without writing
-    to m or b: one gesv call, which is getrf and getrs bit for bit, except
-    for one right-hand side, where OpenBLAS's getrs takes a matrix-vector
-    path that gesv does not."""
-    if b.shape[1] > 1:
-        lu, _, x, _ = _GESV(m, b)
-        return lu, x
-    lu, piv, _ = _GETRF(m)
-    return lu, _GETRS(lu, piv, b)[0]
-
-
 def _solve_right_each(
     bs: Sequence[np.ndarray], ms: Sequence[np.ndarray]
 ) -> tuple[list[np.ndarray], SingularMatrixError | None]:
@@ -274,20 +261,20 @@ def _solve_right_each(
     is singular to working precision, and return the solutions with that
     one's :class:`SingularMatrixError` (None when every m_i is regular).
 
-    Each pair is factored and solved by :func:`_lu_solve`, the pivot rule
-    is checked on all the factorizations in one call, and a solution is
-    used only when its factorization passes."""
+    Each m_i is factored by one ``getrf`` call, the pivot rule is checked
+    on all the factorizations in one call, and only the pairs before the
+    first failure are solved, by one ``getrs`` call each."""
     # X m = b  <=>  m^T X^T = b^T; the transposes of C-ordered arrays are
     # Fortran-ordered views, as LAPACK wants them
-    solved = [_lu_solve(m.T, b.T) for b, m in zip(bs, ms)]
-    pivots = np.abs(np.diagonal(_stack([lu for lu, _ in solved]), axis1=1, axis2=2))
+    factors = [_GETRF(m.T) for m in ms]
+    pivots = np.abs(np.diagonal(_stack([lu for lu, _, _ in factors]), axis1=1, axis2=2))
     xs = []
-    for (_, x), low, high in zip(
-        solved, pivots.min(axis=1).tolist(), pivots.max(axis=1).tolist()
+    for b, (lu, piv, _), low, high in zip(
+        bs, factors, pivots.min(axis=1).tolist(), pivots.max(axis=1).tolist()
     ):
         if low <= 1e-14 * max(1.0, high):
             return xs, SingularMatrixError(low)
-        xs.append(x.T)
+        xs.append(_GETRS(lu, piv, b.T)[0].T)
     return xs, None
 
 
@@ -441,11 +428,11 @@ def _stein_certificate(cs: list[np.ndarray]) -> ContractionCertificate:
     p = _stein_schur(cs[0]) if len(cs) == 1 else _stein_assembled(cs)
     n = p.shape[0]
     p = 0.5 * (p + p.conj().T)
-    # Frobenius norms by LAPACK lange, which scales as it sums; np.linalg.norm
-    # squares the entries and reads inf once ||P|| passes about 1e154.  The
-    # transposes are Fortran-ordered views, which lange reads without a copy
-    residual = _LANGE("F", (p - sum(c.conj().T @ p @ c for c in cs) - np.eye(n)).T)
-    if not residual <= 1e-10 * max(1.0, _LANGE("F", p.T)):  # refuses NaN too
+    # the residual and ||P||_F in one call, scaled where a sum of squares
+    # overflows; the threshold is never below 1e-10, so no underflow decides
+    r = p - sum(c.conj().T @ p @ c for c in cs) - np.eye(n)
+    residual, size = _norms(np.array([r, p]), FROBENIUS).tolist()
+    if not residual <= 1e-10 * max(1.0, size):  # refuses NaN too
         raise NoContractingNormError(
             f"Stein residual {residual:.3e} too large; no contracting norm found"
         )

@@ -204,9 +204,9 @@ def _advance(
         violation = cert._violation(cs, n0 + 1)
         if violation is not None:
             k, error = violation.step - n0 - 1, violation
-        ls, singular = _limits(factors[:k])
-        if singular is not None:
-            k, error = len(ls), singular
+        ls, failed = _limits(factors[:k])
+        if failed is not None:
+            k, error = len(ls), failed
     if not k:
         return _Steps([], np.empty((0, *state.x.shape), dtype=np.complex128), error)
 
@@ -285,7 +285,8 @@ def step(
     against it by :meth:`ContractionCertificate.check`, so a violation
     raises :class:`CertificateViolationError` naming the step.  A factor
     whose B-block does not have the shape of X raises :class:`ShapeError`,
-    and one whose I - C is singular :class:`SingularMatrixError`.  The
+    one whose I - C is singular :class:`SingularMatrixError`, and one whose
+    limit candidate is not finite :class:`AnalysisRefusedError`.  The
     deviation identity D' = (D - Y) C is verified at every step past the
     first, to within ``IDENTITY_TOL`` max(1, ||X_n||, ||X_{n-1}||, ||D_n||);
     a failure raises :class:`DeviationIdentityError`.

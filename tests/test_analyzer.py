@@ -396,6 +396,11 @@ class TestAnalyzeStream:
         with pytest.raises(ShapeError):
             analyze(mixed_split_stream(), cert=self.CERT)
 
+    def test_overflowing_first_candidate_is_refused(self):
+        overflow = BlockUpperTriangular(1, [[1e308]], [[0.5]])  # L = 2e308
+        with pytest.raises(AnalysisRefusedError, match="not finite"):
+            analyze(Stream(iter([overflow, A_HALF])), cert=self.CERT)
+
 
 class TestAnalyzerConfig:
     @pytest.mark.parametrize("eps", BAD_TOLERANCES + [0.0])
@@ -604,6 +609,19 @@ class TestCycleAccumulationPoints:
 
 
 class TestCertifyRcp:
+    def test_overflowing_candidate_is_refused(self):
+        # the candidates 1e308 / 0.1 and 1.5e308 / 0.5 are inf; their gap
+        # was NaN, and no pair was found
+        members = [
+            BlockUpperTriangular(1, [[1e308]], [[0.9]]),
+            BlockUpperTriangular(1, [[1.5e308]], [[0.5]]),
+            A_HALF,
+        ]
+        with pytest.raises(AnalysisRefusedError, match="not finite"):
+            certify_rcp(members)
+        with pytest.raises(AnalysisRefusedError, match="not finite"):
+            analyze(Periodic(members))
+
     def test_singleton(self):
         verdict = certify_rcp([A_HALF])
         assert verdict.is_rcp

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockprod import BlockUpperTriangular, ShapeError, block_mul
+from blockprod import AnalysisRefusedError, BlockUpperTriangular, ShapeError, block_mul
 from conftest import random_block
 
 
@@ -18,6 +18,25 @@ class TestToDense:
     def test_direct_placement(self):
         a = scalar_form(1.0, 0.5)
         assert np.array_equal(a.to_dense(), [[1.0, 1.0], [0.0, 0.5]])
+
+
+class TestLimit:
+    def test_overflowing_candidate_is_refused_every_time(self):
+        # 1.5e308 / (1 - 0.5) is past the largest double, and is not kept
+        a = scalar_form(1.5e308, 0.5)
+        for _ in range(2):
+            with pytest.raises(AnalysisRefusedError, match="not finite"):
+                a.limit
+            assert "_limit" not in vars(a)
+
+    def test_a_factor_before_the_overflow_keeps_its_candidate(self):
+        from blockprod.blockform import _limits
+
+        a, overflow = scalar_form(1.0, 0.5), scalar_form(1e308, 0.9)
+        ls, error = _limits([a, overflow, a])
+        assert [l.tolist() for l in ls] == [[[2.0]]]
+        assert isinstance(error, AnalysisRefusedError)
+        assert vars(a)["_limit"] is ls[0] and "_limit" not in vars(overflow)
 
 
 class TestInvariants:

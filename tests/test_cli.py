@@ -595,6 +595,32 @@ def test_huge_b_runs_without_warnings(argv, expected_code, golden):
     assert proc.stdout == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--input", "overflow_candidate_cycle.json"),
+    ("certify-rcp", "--input", "overflow_candidate_set.json"),
+    ("product", "--input", "overflow_candidate_cycle.json", "--n", "5"),
+], ids=["analyze", "certify-rcp", "product"])  # fmt: skip
+def test_overflowing_candidate_is_refused_without_warnings(argv):
+    # B = 1e308 over I - C = 0.1 gives the candidate inf, whose gaps are NaN:
+    # analyze and certify-rcp ended in a StopIteration traceback, and product
+    # printed L: [inf] and a NaN bound before a failed cross-check
+    src = str(Path(blockprod.__file__).parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "blockprod.cli",
+         *argv[:2], str(FIXTURES / argv[2]), *argv[3:]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )  # fmt: skip
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "analysis refused: limit candidate B (I - C)^-1 has an entry that is "
+        "not finite\n"
+    )
+
+
 class TestNorm:
     @pytest.mark.parametrize("kind", ["auto", "fro"])
     def test_huge_entries_are_undecided_without_warnings(self, tmp_path, kind):

@@ -1,5 +1,6 @@
 """tools/differential.py finds no difference between a tree and its copy,
-and reports every run that a planted change moves."""
+and reports every run that a planted change moves; no run of this tree
+warns or raises."""
 
 import json
 import shutil
@@ -44,9 +45,11 @@ def test_a_copy_does_not_differ(baseline, tmp_path):
     out, records = baseline
     copied = run_tree(copy_of_src(tmp_path), tmp_path / "copy.jsonl")
     assert copied == records
-    # every subcommand runs, on fixtures and on generated files at each scale
+    # every subcommand runs, on fixtures and on generated files at each
+    # scale, and so do the stream analyses
     commands = {r["argv"][0] for r in records}
-    assert commands == {"product", "analyze", "certify-rcp", "norm"}
+    assert commands == {"product", "analyze", "certify-rcp", "norm",
+                        "analyze(Stream)", "corollary1_analyze(Stream)"}  # fmt: skip
     assert any(r["csv"] for r in records)
     names = " ".join(r["argv"][2] for r in records)
     assert "<fixtures>/constant.json" in names and "-b2^997.json" in names
@@ -55,15 +58,29 @@ def test_a_copy_does_not_differ(baseline, tmp_path):
     assert proc.stdout == f"{len(records)} runs in both; 0 moved; 0 in one file only\n"
 
 
+def test_no_run_warns_or_raises(baseline):
+    # a "raised" code is an exception that is not a library error, such as
+    # the StopIteration once raised on a limit candidate that overflowed
+    _, records = baseline
+    assert [r["argv"] for r in records if str(r["code"]).startswith("raised")] == []
+    assert [r["argv"] for r in records if "Warning" in r["stderr"]] == []
+
+
+def planted(tmp_path, module, line, change):
+    """The records of a copy of src/ whose *module* has *line* changed."""
+    copy = copy_of_src(tmp_path)
+    path = copy / "blockprod" / module
+    text = path.read_text()
+    assert line in text
+    path.write_text(text.replace(line, change(line)))
+    return run_tree(copy, tmp_path / "planted.jsonl")
+
+
 def test_a_planted_change_is_reported_run_by_run(baseline, tmp_path):
     out, records = baseline
-    copy = copy_of_src(tmp_path)
-    seqfile = copy / "blockprod" / "seqfile.py"
-    text, line = seqfile.read_text(), 'format(float(x), ".17g")'
-    assert line in text
-    seqfile.write_text(text.replace(line, line.replace("17g", "16g")))
-    planted = run_tree(copy, tmp_path / "planted.jsonl")
-    moved = {" ".join(a["argv"]) for a, b in zip(records, planted) if a != b}
+    line = 'format(float(x), ".17g")'
+    to_16 = planted(tmp_path, "seqfile.py", line, lambda t: t.replace("17g", "16g"))
+    moved = {" ".join(a["argv"]) for a, b in zip(records, to_16) if a != b}
     proc = differential("compare", out, tmp_path / "planted.jsonl")
     assert proc.returncode == 1
     # each moved run is listed on a line of its own, indented by two spaces
@@ -74,3 +91,13 @@ def test_a_planted_change_is_reported_run_by_run(baseline, tmp_path):
     # fmt_float prints product's deviation bound and trace, and norm's
     # value; analyze and certify-rcp print cycles through fmt_matrix only
     assert {argv.split()[0] for argv in moved} == {"product", "norm"}
+
+
+def test_a_planted_streak_window_moves_stream_runs_only(baseline, tmp_path):
+    _, records = baseline
+    line = "_STREAK_WINDOW = 20"
+    changed = planted(tmp_path, "analyzer.py", line, lambda t: t.replace("20", "21"))
+    moved = [a["argv"] for a, b in zip(records, changed) if a != b]
+    assert len(changed) == len(records) and moved
+    streams = {"analyze(Stream)", "corollary1_analyze(Stream)"}
+    assert {argv[0] for argv in moved} <= streams

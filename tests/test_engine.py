@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockprod import (
     BUILTIN_NORMS,
+    AnalysisRefusedError,
     AnalyzerConfig,
     BlockUpperTriangular,
     CertificateViolationError,
@@ -239,6 +240,16 @@ class TestChunkFailures:
         seq = [A_HALF, SINGULAR, violating]
         done = _advance(initial_state(1, 1), seq, RATE_NEAR_ONE)
         assert len(done.states) == 1 and isinstance(done.error, SingularMatrixError)
+
+    def test_overflowing_candidate_ends_the_chunk_before_its_step(self):
+        # B (I - C)^-1 = 1e308 / 0.1 overflows; the candidate is not kept
+        overflow = BlockUpperTriangular(1, [[1e308]], [[0.9]])
+        seq = [A_HALF] * 3 + [overflow] + [A_HALF] * 2
+        done = _advance(initial_state(1, 1), seq, RATE_NEAR_ONE)
+        assert len(done.states) == 3 and len(done.ls) == 3
+        assert isinstance(done.error, AnalysisRefusedError)
+        assert "not finite" in str(done.error)
+        assert "_limit" not in vars(overflow)
 
     def test_identity_violation_inside_a_chunk(self, rng):
         # a wrong limit candidate kept on factor 6 breaks D_6 = (D_5 - Y_6) C_6

@@ -1,5 +1,5 @@
-"""Run the blockprod CLI of one source tree on a fixed set of inputs, and
-compare the outputs of two trees.
+"""Run the blockprod CLI and stream analyses of one source tree on a fixed
+set of inputs, and compare the outputs of two trees.
 
     python tools/differential.py run --src DIR --out FILE
     python tools/differential.py compare A B
@@ -12,12 +12,24 @@ package, such as a checkout's ``src``) in this one process and calls
 script and on seeded periodic, finite and set files: s <= 3, m <= 5, dense,
 triangular and nilpotent C-blocks, real or complex, with or without a
 declared certificate, and every B-block scaled by 2^k for k in
-{-30, 0, 20, 40, 997}.  The files depend only on SEEDS and on numpy,
-so two trees get the same inputs.  FILE gets one JSON line per run: the
+{-30, 0, 20, 40, 997}.  Then come library runs of
+``analyze(Stream(...), AnalyzerConfig(horizon=n), cert)`` on seeded
+streams, s, m <= 4 and n <= 120: converging, period-2 and fresh random
+streams, and faulty ones with a violating, a singular or a nonconforming
+factor, under declared built-in and Lyapunov certificates, with the same
+scales of B; where every C-block is one matrix, ``corollary1_analyze`` of
+the stream runs as well.  Their argv is ``analyze(Stream)`` or
+``corollary1_analyze(Stream)``, ``--case`` and the case's name, their
+stdout the factors read, the verdict, certificate, limit, bound, witness
+and trace rows, every float by ``float.hex``, and a library error is
+recorded as the code ``error <type>`` with its text on stderr.  The
+inputs depend only on SEEDS and on numpy, so two trees get the same
+inputs.  FILE gets one JSON line per run: the
 argv, the exit code, stdout, stderr and the trace CSV, with file paths
 replaced by placeholders and the paths and line numbers of warnings
 dropped.  Warnings are shown once per run and place, as a fresh process
-shows them.
+shows them, and an exception that is not a library error is recorded as
+the code ``raised <type>``.
 
 ``compare`` prints the runs whose records differ, grouped by subcommand
 and exit-code transition, with the first line that moved in each output,
@@ -28,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -38,6 +51,7 @@ import traceback
 import warnings
 from collections import defaultdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +59,13 @@ FIXTURES = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 SEEDS = (1, 2)
 CASES = 40  # seeded bases per seed
 SCALE_EXPONENTS = (-30, 0, 20, 40, 997)
+STREAM_CASES = 18  # seeded streams per seed, each run at every scale of B
+STREAM_KINDS = ("converging", "period-2", "fresh", "violating", "singular",
+                "nonconforming")  # fmt: skip
+CERT_KINDS = ("inf", "one", "fro", "lyapunov")
+#: the rate of the singular streams' inf certificate; C = RATE_NEAR_ONE I
+#: passes it, and I - C has the pivots 2^-50 < 1e-14
+RATE_NEAR_ONE = 1 - 2.0**-50
 NORM_KINDS = ("auto", "inf", "one", "fro", "lyapunov")
 FILE_KINDS = ("periodic", "finite", "set")
 C_SHAPES = ("dense", "triangular", "nilpotent")
@@ -74,6 +95,18 @@ def _c_block(rng: np.random.Generator, m: int, shape: str, draw) -> np.ndarray:
     return c * (rng.uniform(0.2, 1.05) / radius) if radius else c
 
 
+def _norm(c: np.ndarray, kind: str, lt: np.ndarray | None = None) -> float:
+    """The norm *kind* of *c* by numpy alone; a Lyapunov norm, with P = L L*
+    and *lt* = L*, is ||L* C L^-*||_2."""
+    if kind == "inf":
+        return np.abs(c).sum(axis=1).max()
+    if kind == "one":
+        return np.abs(c).sum(axis=0).max()
+    if kind == "fro":
+        return np.sqrt((np.abs(c) ** 2).sum())
+    return np.linalg.norm(lt @ c @ np.linalg.inv(lt), 2)
+
+
 def _declared(rng: np.random.Generator, cs: list[np.ndarray]) -> dict:
     """No certificate in a third of the cases, else a declared built-in
     norm whose rate is the largest member norm rounded up to three digits.
@@ -82,13 +115,7 @@ def _declared(rng: np.random.Generator, cs: list[np.ndarray]) -> dict:
     if rng.integers(3) == 0:
         return {}
     kind = ("inf", "one", "fro")[rng.integers(3)]
-    values = [
-        np.abs(c).sum(axis=1).max() if kind == "inf"
-        else np.abs(c).sum(axis=0).max() if kind == "one"
-        else np.sqrt((np.abs(c) ** 2).sum())
-        for c in cs
-    ]  # fmt: skip
-    rate = float(f"{max(values):.3g}") + 0.001
+    rate = float(f"{max(_norm(c, kind) for c in cs):.3g}") + 0.001
     if rate >= 1 and rng.integers(2):
         return {}
     return {"norm": kind, "rate": rate if rate < 1 else 0.95}
@@ -138,6 +165,170 @@ def generate(directory: Path) -> list[list[str]]:
     return runs
 
 
+class StreamCase(NamedTuple):
+    """A seeded stream: its (B, C) blocks, the horizon, the certificate (a
+    built-in norm's name, or "lyapunov" with the Stein solution P) and its
+    rate, and whether every C-block is one matrix."""
+
+    name: str
+    blocks: list[tuple[np.ndarray, np.ndarray]]
+    horizon: int
+    norm: str
+    p: np.ndarray | None
+    rate: float
+    constant: bool
+
+
+def _stein(c: np.ndarray) -> np.ndarray:
+    """The Hermitian solution P of P - C* P C = I, by numpy alone: its
+    columns stacked solve (I - C^T kron C*) vec P = vec I."""
+    m = len(c)
+    k = np.eye(m * m) - np.kron(c.T, c.conj().T)
+    p = np.linalg.solve(k, np.eye(m).ravel(order="F")).reshape(m, m, order="F")
+    return 0.5 * (p + p.conj().T)
+
+
+def stream_cases() -> list[StreamCase]:
+    """The seeded streams, from generators of their own, so that the CLI
+    files stay as they are.  Every C-block but a faulty one is scaled to a
+    norm between 0.3 and 0.95 times the rate; a converging stream has the
+    candidates L + r^n E; a faulty one is a converging one whose factor v
+    has a C-block 5% past the rate, C = RATE_NEAR_ONE I under an inf rate
+    of RATE_NEAR_ONE, or a C-block of order m + 1."""
+    cases = []
+    for seed in SEEDS:
+        rng = np.random.default_rng([seed, 1])
+        for case in range(STREAM_CASES):
+            kind = STREAM_KINDS[case % len(STREAM_KINDS)]
+            s, m = (int(v) for v in rng.integers(1, 5, 2))
+            complex_ = bool(rng.integers(2))
+
+            def draw(*size):
+                x = rng.standard_normal(size)
+                return x + 1j * rng.standard_normal(size) if complex_ else x
+
+            horizon = int(rng.integers(21, 121))
+            length = int(rng.integers(horizon - 10, horizon + 10))
+            norm = "inf" if kind == "singular" else CERT_KINDS[rng.integers(4)]
+            rate = round(rng.uniform(0.5, 0.95), 3)
+            if kind == "singular":
+                rate = RATE_NEAR_ONE
+            p = lt = None
+            if norm == "lyapunov":
+                p = _stein(_c_block(rng, m, "triangular", draw))
+                lt = np.linalg.cholesky(p).conj().T
+
+            def contracting(size=m, factor=None):
+                c = draw(size, size)
+                if size != m:  # a nonconforming C-block, in the inf norm
+                    return c * (0.5 / _norm(c, "inf"))
+                value = _norm(c, norm, lt)
+                factor = rng.uniform(0.3, 0.95) if factor is None else factor
+                return c * (rate * factor / value) if value else c
+
+            constant = bool(rng.random() < 0.4)
+            one_c = contracting()
+            cs = [one_c if constant else contracting() for _ in range(length)]
+            if kind == "period-2":
+                pair = [(draw(s, m), cs[0]), (draw(s, m), cs[1])]
+                blocks = [pair[i % 2] for i in range(length)]
+            elif kind == "fresh":
+                blocks = [(draw(s, m), c) for c in cs]
+            else:
+                l, e, r = draw(s, m), draw(s, m), rng.uniform(0.2, 0.7)
+                blocks = [
+                    ((l + r**i * e) @ (np.eye(m) - c), c)
+                    for i, c in enumerate(cs, start=1)
+                ]
+            if kind in ("violating", "singular", "nonconforming"):
+                v = int(rng.integers(length))
+                if kind == "violating":
+                    blocks[v] = (blocks[v][0], contracting(factor=1.05))
+                elif kind == "singular":
+                    blocks[v] = (blocks[v][0], RATE_NEAR_ONE * np.eye(m))
+                else:
+                    blocks[v] = (draw(s, m + 1), contracting(m + 1))
+            constant &= kind in ("converging", "period-2", "fresh", "nonconforming")
+            shape = "constant-c" if constant else "varying-c"
+            name = f"s{seed}-stream{case}-{kind}-{norm}-{shape}-s{s}-m{m}-n{horizon}"
+            cases.append(StreamCase(name, blocks, horizon, norm, p, rate, constant))
+    return cases
+
+
+def _hex(a) -> str:
+    """The entries of *a* row by row, each as the float.hex of its real and
+    of its imaginary part."""
+    rows = np.atleast_2d(np.asarray(a, dtype=np.complex128)).tolist()
+    return " / ".join(
+        " ".join(f"{z.real.hex()},{z.imag.hex()}" for z in row) for row in rows
+    )
+
+
+def _print_report(report) -> None:
+    print(f"verdict {report.verdict.value}")
+    cert = report.certificate
+    power = getattr(cert, "power", "")
+    print(f"certificate {cert.kind} {cert.norm.kind} {cert.rate.hex()} {power}")
+    if cert.norm.kind == "lyapunov":
+        print(f"scaling {_hex(cert.norm.scaling)}")
+    if report.limit is not None:
+        print(f"limit {_hex(report.limit)}")
+    if report.deviation_bound is not None:
+        print(f"bound {report.deviation_bound.hex()}")
+    if report.witness is not None:
+        print(f"witness {report.witness.description}")
+        for point in report.witness.points:
+            print(f"point {_hex(point)}")
+    for row in report.trace:
+        print("trace", row.n, *(float(v).hex() for v in row[1:]))
+
+
+def _stream_run(blockprod, case: StreamCase, e: int, corollary: bool):
+    """One stream analysis of *case* with B scaled by 2^*e*, printed: 0, or
+    ``error <type>`` for a library error, whose text goes to stderr."""
+    read = 0
+
+    def factors():
+        nonlocal read
+        for b, c in case.blocks:
+            read += 1
+            yield blockprod.BlockUpperTriangular(len(b), b * 2.0**e, c)
+
+    cfg = blockprod.AnalyzerConfig(horizon=case.horizon)
+    try:
+        if corollary:
+            c_limit = case.blocks[0][1]
+            stream = blockprod.Stream(factors())
+            report = blockprod.corollary1_analyze(stream, c_limit, cfg)
+        else:
+            if case.p is None:
+                norm, kind = blockprod.MatrixNorm(case.norm), "declared"
+            else:
+                norm, kind = blockprod.lyapunov_norm(case.p), "lyapunov"
+            cert = blockprod.ContractionCertificate(norm, case.rate, kind)
+            report = blockprod.analyze(blockprod.Stream(factors()), cfg, cert)
+    except blockprod.BlockprodError as exc:
+        print(f"read {read}")
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return f"error {type(exc).__name__}"
+    print(f"read {read}")
+    _print_report(report)
+    return 0
+
+
+def stream_runs(blockprod) -> list[tuple[list[str], object]]:
+    """The argv and the call of every stream run."""
+    runs = []
+    for case in stream_cases():
+        for e in SCALE_EXPONENTS:
+            name = f"{case.name}-b2^{e}"
+            for corollary in (False, True)[: 1 + case.constant]:
+                command = "corollary1_analyze" if corollary else "analyze"
+                call = functools.partial(_stream_run, blockprod, case, e, corollary)
+                runs.append(([f"{command}(Stream)", "--case", name], call))
+    return runs
+
+
 def fixture_runs() -> list[list[str]]:
     runs = []
     for path in sorted(FIXTURES.glob("*.json")):
@@ -149,14 +340,14 @@ def fixture_runs() -> list[list[str]]:
     return runs
 
 
-def _call(main, argv: list[str]) -> tuple[object, str, str]:
+def _call(run) -> tuple[object, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         # a fresh filter state forgets the warnings already shown
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             try:
-                code = main(argv)
+                code = run()
             except SystemExit as exc:  # argparse's errors
                 code = exc.code
             except Exception as exc:  # a defect: recorded, not raised
@@ -189,17 +380,22 @@ def cmd_run(args) -> int:
                 text = text.replace(path, token)
             return WARNING_PLACE.sub(r"\1:", text)
 
+        calls = []
+        for argv in runs:
+            if argv[0] == "product":
+                argv = [*argv, "--trace", "<trace>"]
+            call = functools.partial(blockprod.cli.main, [*map(expand, argv)])
+            calls.append((argv, call))
+        calls += stream_runs(blockprod)
         with open(args.out, "w", encoding="utf-8") as fh:
-            for argv in runs:
-                if argv[0] == "product":
-                    argv = [*argv, "--trace", "<trace>"]
+            for argv, call in calls:
                 trace.unlink(missing_ok=True)
-                code, out, err = _call(blockprod.cli.main, [*map(expand, argv)])
+                code, out, err = _call(call)
                 csv = trace.read_text(encoding="utf-8") if trace.exists() else None
                 record = {"argv": argv, "code": code, "stdout": normalise(out),
                           "stderr": normalise(err), "csv": csv}  # fmt: skip
                 fh.write(json.dumps(record) + "\n")
-    print(f"{len(runs)} runs of {src} written to {args.out}")
+    print(f"{len(calls)} runs of {src} written to {args.out}")
     return 0
 
 
