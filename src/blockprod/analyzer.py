@@ -302,9 +302,11 @@ class _StreakDetector:
         # seen[before + i] is values[i], seen[:before] the carried values
         seen = np.concatenate([v[None] for v in self.last] + [values])
         seen.setflags(write=False)
-        # |v_n|, v_n - v_{n-1} and v_n - v_{n-2}, in one norm call
+        # |v_n|, v_n - v_{n-1} and v_n - v_{n-2}, in one norm call; a
+        # difference past the largest double is inf, a gap no test accepts
         k, t = len(values), len(seen)
-        steps = [values, seen[1:] - seen[:-1], seen[2:] - seen[:-2]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = [values, seen[1:] - seen[:-1], seen[2:] - seen[:-2]]
         norms = _norms(np.concatenate(steps), FROBENIUS).tolist()
         sizes, back1, back2 = norms[:k], norms[k : k + t - 1], norms[k + t - 1 :]
         self.last = list(seen[-2:])

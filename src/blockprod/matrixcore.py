@@ -30,7 +30,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -41,9 +41,6 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-
-if TYPE_CHECKING:
-    from .blockform import BlockUpperTriangular
 
 __all__ = [
     "as_matrix",
@@ -482,20 +479,12 @@ class ContractionCertificate:
         if self.kind not in ("declared", "lyapunov"):
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
-    def check(self, a: BlockUpperTriangular, step: int) -> None:
-        """Check the C-block of factor *a*, validated when *a* was built,
-        against this certificate: a norm not at most the rate (no slack; NaN
-        fails) raises :class:`CertificateViolationError` naming *step*."""
-        violation = self._violation(a.c[None], step)
-        if violation is not None:
-            raise violation
-
     def _violation(
         self, cs: np.ndarray, first: int
     ) -> CertificateViolationError | None:
-        """The violation of :meth:`check` by the first C-block of the stack
-        *cs*, the C-blocks of steps *first*, *first* + 1, ..., whose norm
-        exceeds the rate or is NaN, or None."""
+        """The violation of this certificate by the first C-block of the
+        stack *cs*, the C-blocks of steps *first*, *first* + 1, ..., whose
+        norm is not at most the rate (no slack; NaN fails), or None."""
         for i, val in enumerate(_norms(cs, self.norm).tolist()):
             if not val <= self.rate:
                 return CertificateViolationError(first + i, val, self.rate)

@@ -15,6 +15,7 @@ propagated alongside the product.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import reduce
@@ -174,8 +175,8 @@ def _advance(
     factors: Sequence[BlockUpperTriangular],
     cert: ContractionCertificate,
 ) -> _Steps:
-    """Append the conforming factors of one chunk to the partial product,
-    with every check of :func:`step` on every factor.
+    """Append the factors of one chunk, which share the block orders (s, m)
+    of the product, with every other check of :func:`step` on every factor.
 
     Only X_n and Gamma_n are stepped one factor at a time.  The member
     check, the limit candidates, D_n, Y_n, the identity residuals, the
@@ -183,49 +184,41 @@ def _advance(
     one stacked call each for the chunk.  Each stacked value is
     bit-identical to the one-matrix call, because every matrix in a stack
     is C-contiguous, as the arrays of a single step are.  A failing check
-    ends the chunk at its step, in the order shape, certificate, limit,
-    identity within a step.  The failure is returned, not raised, so that a
-    caller can first use the steps before it.  *state* and each state taken
-    keep a weak reference to their successor, which :func:`step` returns
-    while it is alive.  *cert* must be a :class:`ContractionCertificate`;
-    :func:`step` and :func:`_run` check that where it enters.
+    ends the chunk at its step, in the order certificate, limit, identity
+    within a step.  The failure is returned, not raised, so that a caller
+    can first use the steps before it.  *state* and each state taken keep a
+    weak reference to their successor, which :func:`step` returns while it
+    is alive.  *cert* must be a :class:`ContractionCertificate`; :func:`step`
+    and :func:`_run` check that where it enters.
     """
-    n0, k = state.n, len(factors)
-    error: BlockprodError | None = None
-    for i, a in enumerate(factors):
-        if a.b.shape != state.x.shape:
-            k, error = i, ShapeError(
-                f"factor {n0 + i + 1} has (s, m) = {a.b.shape}; "
-                f"the product has {state.x.shape}"
-            )
-            break
-    if k:
-        cs = _stack([a.c for a in factors[:k]])
-        violation = cert._violation(cs, n0 + 1)
-        if violation is not None:
-            k, error = violation.step - n0 - 1, violation
-        ls, failed = _limits(factors[:k])
-        if failed is not None:
-            k, error = len(ls), failed
+    n0 = state.n
+    cs = _stack([a.c for a in factors])
+    error: BlockprodError | None = cert._violation(cs, n0 + 1)
+    k = len(factors) if error is None else error.step - n0 - 1
+    ls, failed = _limits(factors[:k])
+    if failed is not None:
+        k, error = len(ls), failed
     if not k:
         return _Steps([], np.empty((0, *state.x.shape), dtype=np.complex128), error)
 
     l = _stack(ls)
     # X_n, D_n = X_n - L_n, Y_n = L_n - L_{n-1} and the identity residual
-    # D_n - (D_{n-1} - Y_n) C_n, in one buffer for one norm call
+    # D_n - (D_{n-1} - Y_n) C_n, in one buffer for one norm call; an entry
+    # past the largest double is inf or NaN, and fails the identity check
     quantities = np.empty((4, k, *state.x.shape), dtype=np.complex128)
     xs, d, y, residual = quantities
     x, gamma, gammas = state.x, state.gamma, []
-    for i, a in enumerate(factors[:k]):
-        x = np.add(a.b, x @ a.c, out=xs[i])
-        gamma = gamma @ a.c
-        gammas.append(gamma)
-    np.subtract(xs, l, out=d)
-    np.subtract(l[0], state.l, out=y[0])
-    np.subtract(l[1:], l[:-1], out=y[1:])
-    np.subtract(state.d_dev, y[0], out=residual[0])
-    np.subtract(d[:-1], y[1:], out=residual[1:])
-    np.subtract(d, residual @ cs[:k], out=residual)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, a in enumerate(factors[:k]):
+            x = np.add(a.b, x @ a.c, out=xs[i])
+            gamma = gamma @ a.c
+            gammas.append(gamma)
+        np.subtract(xs, l, out=d)
+        np.subtract(l[0], state.l, out=y[0])
+        np.subtract(l[1:], l[:-1], out=y[1:])
+        np.subtract(state.d_dev, y[0], out=residual[0])
+        np.subtract(d[:-1], y[1:], out=residual[1:])
+        np.subtract(d, residual @ cs[:k], out=residual)
     norms = _norms(quantities.reshape(4 * k, *x.shape), cert.norm).reshape(4, k)
     norm_x, norm_d, norm_y, norm_r = norms.tolist()
     norm_gamma = _norms(_stack(gammas), cert.norm).tolist()
@@ -235,13 +228,18 @@ def _advance(
         n = n0 + i + 1
         if n == 1:  # no Y_1, and no identity to check
             y_prev, norm_y[i], norm_r[i], bound = None, 0.0, 0.0, norm_d[i]
-        elif norm_r[i] > IDENTITY_TOL * max(1.0, norm_x[i], prev.norm_x, norm_d[i]):
+        elif not (
+            math.isfinite(norm_r[i])
+            and norm_r[i] <= IDENTITY_TOL * max(1.0, norm_x[i], prev.norm_x, norm_d[i])
+        ):
             error = DeviationIdentityError(
                 f"deviation identity violated at step {n}: residual {norm_r[i]:.3e}"
             )
             break
         else:
             y_prev, bound = y[i], (prev.bound + norm_y[i]) * cert.rate
+            if bound == math.inf:  # the sum, not the bound, is past the largest double
+                bound = prev.bound * cert.rate + norm_y[i] * cert.rate
         new = ProductState(
             n, xs[i], gammas[i], ls[i], d[i], y_prev, bound,
             norm_r[i], norm_x[i], norm_d[i], norm_y[i], norm_gamma[i],
@@ -281,15 +279,14 @@ def step(
     alive, it is returned.
 
     A certificate that is not a :class:`ContractionCertificate` raises
-    :class:`InvalidCertificateError`.  The factor's C-block is checked
-    against it by :meth:`ContractionCertificate.check`, so a violation
-    raises :class:`CertificateViolationError` naming the step.  A factor
-    whose B-block does not have the shape of X raises :class:`ShapeError`,
-    one whose I - C is singular :class:`SingularMatrixError`, and one whose
-    limit candidate is not finite :class:`AnalysisRefusedError`.  The
-    deviation identity D' = (D - Y) C is verified at every step past the
+    :class:`InvalidCertificateError`, and a factor whose B-block does not
+    have the shape of X :class:`ShapeError`.  A factor whose C-block's norm
+    is above the rate or NaN raises :class:`CertificateViolationError`
+    naming the step, one whose I - C is singular :class:`SingularMatrixError`,
+    and one whose limit candidate is not finite :class:`AnalysisRefusedError`.
+    The deviation identity D' = (D - Y) C is verified at every step past the
     first, to within ``IDENTITY_TOL`` max(1, ||X_n||, ||X_{n-1}||, ||D_n||);
-    a failure raises :class:`DeviationIdentityError`.
+    a residual above that or not finite raises :class:`DeviationIdentityError`.
 
     The factor's blocks were validated when it was built, so nothing is
     validated again here: the limit candidate is the factor's cached
@@ -303,7 +300,13 @@ def step(
         new = ahead[2]()
         if new is not None:
             return new
-    done = _advance(state, (a,), require_per_factor(cert))
+    cert = require_per_factor(cert)
+    if a.b.shape != state.x.shape:
+        raise ShapeError(
+            f"factor {state.n + 1} has (s, m) = {a.b.shape}; "
+            f"the product has {state.x.shape}"
+        )
+    done = _advance(state, (a,), cert)
     if done.error is not None:
         raise done.error
     return done.states[0]

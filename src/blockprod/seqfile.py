@@ -330,14 +330,13 @@ def trace_csv_line(r: TraceRow) -> str:
     return ",".join([str(r.n), *map(fmt_float, r[1:])]) + "\n"
 
 
-def write_trace_csv(path, rows: Iterable[TraceRow | str]) -> None:
-    """Write :data:`TRACE_HEADER` and then *rows* to *path*; a row is a
-    :class:`TraceRow` or a line that :func:`trace_csv_line` made, so an open
-    text file of such lines is copied as it is read."""
+def write_trace_csv(path, lines: Iterable[str]) -> None:
+    """Write :data:`TRACE_HEADER` and then *lines*, which
+    :func:`trace_csv_line` made, to *path*, so an open text file of such
+    lines is copied as it is read."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for r in rows:
-                fh.write(r if isinstance(r, str) else trace_csv_line(r))
+            fh.writelines(lines)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from None

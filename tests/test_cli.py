@@ -621,6 +621,33 @@ def test_overflowing_candidate_is_refused_without_warnings(argv):
     )
 
 
+def test_overflowing_increment_fails_the_identity_without_warnings():
+    # the candidates +-1.62e308 are finite, but Y_2 = L_2 - L_1 overflows:
+    # product printed two RuntimeWarnings before it refused at step 2, while
+    # analyze of the cycle certifies divergence at the finite candidates
+    src = str(Path(blockprod.__file__).parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    path = str(FIXTURES / "overflow_increment_cycle.json")
+    product, analyzed = [
+        subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "blockprod.cli",
+             command, "--input", path, *extra],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        for command, extra in (("product", ["--n", "6"]), ("analyze", []))
+    ]  # fmt: skip
+    assert (product.returncode, product.stdout) == (3, "")
+    assert product.stderr.startswith(
+        "analysis refused: deviation identity violated at step 2: residual "
+    )
+    assert product.stderr.count("\n") == 1
+    assert (analyzed.returncode, analyzed.stderr) == (0, "")
+    assert analyzed.stdout.startswith("verdict: CertifiedDiverged\n")
+
+
 class TestNorm:
     @pytest.mark.parametrize("kind", ["auto", "fro"])
     def test_huge_entries_are_undecided_without_warnings(self, tmp_path, kind):

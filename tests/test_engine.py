@@ -2,11 +2,12 @@
 chunk, and how far a stream is read past a verdict."""
 
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blockprod import (
     BUILTIN_NORMS,
@@ -26,6 +27,7 @@ from blockprod import (
     analyze,
     corollary1_analyze,
     initial_state,
+    lyapunov_norm,
     lyapunov_scaling,
     norm_value,
     solve_right,
@@ -40,6 +42,12 @@ A_HALF = BlockUpperTriangular(1, [[1.0]], [[0.5]])
 #: working precision
 SINGULAR = BlockUpperTriangular(1, [[1.0]], [[1 - 2e-15]])
 RATE_NEAR_ONE = ContractionCertificate(INF_NORM, 1 - 1e-15, "declared")
+#: members whose candidates +-1.62e308 are finite, but whose difference is not
+OVERFLOW_PAIR = [
+    BlockUpperTriangular(1, [[1.7e308]], [[-0.05]]),
+    BlockUpperTriangular(1, [[-1.7e308]], [[-0.05]]),
+]
+LYAPUNOV_HALF = ContractionCertificate(lyapunov_norm([[2.0]]), 0.5, "lyapunov")
 
 
 def reference_run(seq, cert, state):
@@ -71,7 +79,8 @@ def reference_run(seq, cert, state):
             norm_y = norm_value(y, cert.norm)
             bound = (state.bound + norm_y) * cert.rate
             residual = norm_value(d - (state.d_dev - y) @ a.c, cert.norm)
-            if residual > IDENTITY_TOL * max(1.0, norm_x, state.norm_x, norm_d):
+            tol = IDENTITY_TOL * max(1.0, norm_x, state.norm_x, norm_d)
+            if not (np.isfinite(residual) and residual <= tol):
                 return states, DeviationIdentityError(
                     f"deviation identity violated at step {n}: residual {residual:.3e}"
                 )
@@ -184,11 +193,16 @@ class TestChunkSplits:
                 break
             single.append(state)
 
+        # _advance takes the factors of the product's (s, m) only: the stream
+        # reader and step refuse the others
+        conforming = list(
+            itertools.takewhile(lambda a: a.b.shape == state0.x.shape, todo)
+        )
         chunked, chunk_error, rows, state, i = [], None, [], state0, 0
         for size in itertools.cycle(splits):
-            if i >= len(todo) or chunk_error is not None:
+            if i >= len(conforming) or chunk_error is not None:
                 break
-            done = _advance(state, todo[i : i + size], cert)
+            done = _advance(state, conforming[i : i + size], cert)
             chunked += done.states
             rows += [trace_row(st, cert) for st in done.states]
             assert len(done.ls) == len(done.states)
@@ -199,7 +213,10 @@ class TestChunkSplits:
         for r, u, v in zip(ref_states, single, chunked):
             assert same_state(r, u) and same_state(r, v)
         assert same_error(ref_error, single_error)
-        assert same_error(ref_error, chunk_error)
+        if isinstance(ref_error, ShapeError):
+            assert chunk_error is None
+        else:
+            assert same_error(ref_error, chunk_error)
         # each row reads ||Gamma_n|| from its state, the public norm_value's
         for row, st in zip(rows, ref_states):
             expected = TraceRow(
@@ -268,6 +285,58 @@ class TestChunkFailures:
         with pytest.raises(DeviationIdentityError, match="at step 6"):
             for a in seq:
                 state = step(state, a, cert)
+
+    def test_overflowing_increment_fails_the_identity_without_warnings(self):
+        # L_1 and L_2 are +-1.62e308, so Y_2 = L_2 - L_1 overflows: step 2
+        # returned a NaN identity residual and bound, with RuntimeWarnings
+        state = initial_state(1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            done = _advance(state, OVERFLOW_PAIR * 3, LYAPUNOV_HALF)
+            assert len(done.states) == 1
+            assert isinstance(done.error, DeviationIdentityError)
+            assert "at step 2" in str(done.error)
+            state = step(state, OVERFLOW_PAIR[0], LYAPUNOV_HALF)
+            with pytest.raises(DeviationIdentityError, match="at step 2"):
+                step(state, OVERFLOW_PAIR[1], LYAPUNOV_HALF)
+            # the candidate leaves the ball of radius 1/eps at step 1, and so
+            # do the B-blocks, whose differences overflow
+            cfg = AnalyzerConfig(horizon=50)
+            stream = Stream(itertools.cycle(OVERFLOW_PAIR))
+            report = analyze(stream, cfg, LYAPUNOV_HALF)
+            assert report.verdict is Verdict.DIVERGED_NUMERICALLY
+            stream = Stream(itertools.cycle(OVERFLOW_PAIR))
+            report = corollary1_analyze(stream, [[-0.05]], cfg)
+            assert report.verdict is Verdict.DIVERGED_NUMERICALLY
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bs=st.lists(st.floats(-15.99, 15.99), min_size=1, max_size=4),
+        cs=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+        k=st.integers(0, 1020),
+    )
+    @example(bs=[1.7e308 / 2.0**1020, -1.7e308 / 2.0**1020], cs=[-0.05] * 4, k=1020)
+    @example(bs=[0.0, 9.0], cs=[0.0] * 4, k=1020)
+    def test_run_returns_only_finite_states(self, bs, cs, k):
+        # a cycle of m = 1 members with B = b 2^k: whatever fails, every state
+        # taken before it has a finite bound, identity residual and norms.  In
+        # the second example the bound tends to ||Y_n|| = 9 2^1020, and the sum
+        # bound + ||Y_n|| it is taken from is past the largest double
+        cycle = [
+            BlockUpperTriangular(1, [[b * 2.0**k]], [[c]]) for b, c in zip(bs, cs)
+        ]
+        states = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                for _, _, done in _run(itertools.cycle(cycle), LYAPUNOV_HALF, 12):
+                    states += done.states
+            except (AnalysisRefusedError, DeviationIdentityError):
+                pass
+        for state in states:
+            values = [state.bound, state.identity_residual, state.norm_x,
+                      state.norm_d, state.norm_y, state.norm_gamma]  # fmt: skip
+            assert all(np.isfinite(values)), state
 
     def test_step_returns_the_state_a_chunk_computed(self):
         state = initial_state(1, 1)

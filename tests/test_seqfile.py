@@ -18,6 +18,7 @@ from blockprod.seqfile import (
     fmt_matrix,
     parse_matrix_file,
     parse_sequence_text,
+    trace_csv_line,
     write_trace_csv,
 )
 
@@ -528,7 +529,7 @@ class TestTraceCsv:
             TraceRow(2, 1.5, 0.0, 0.5, 0.5, 0.25),
         ]
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, rows)
+        write_trace_csv(path, map(trace_csv_line, rows))
         lines = path.read_text().splitlines()
         assert lines[0] == TRACE_HEADER
         assert len(lines) == 3
