@@ -457,11 +457,12 @@ def corollary1_analyze(
         a = chunk[i]
         if a.c.shape != c_limit.shape:
             raise ShapeError("the C-blocks do not conform to c_limit")
-        if _norms((a.c - c_limit)[None], FROBENIUS)[0] > cfg.eps:
-            raise AnalysisRefusedError(
-                f"the C-block of stream factor {read + i + 1} is farther than "
-                "eps from c_limit"
-            )
+        with np.errstate(over="ignore"):  # past the doubles, the distance is inf
+            if not _norms((a.c - c_limit)[None], FROBENIUS)[0] <= cfg.eps:  # or NaN
+                raise AnalysisRefusedError(
+                    f"the C-block of stream factor {read + i + 1} is farther than "
+                    "eps from c_limit"
+                )
         return report
     return AnalysisReport(verdict=Verdict.INCONCLUSIVE, certificate=cert)
 

@@ -186,48 +186,46 @@ def _norms(st: np.ndarray, kind: MatrixNorm) -> np.ndarray:
     (k, r, c), each bit-identical to that of its matrix as a one-matrix stack.
     With P = L L*, a Lyapunov norm is ||L* M L^-*||_2 on a square M (from
     |.|_P to itself) and ||M L^-*||_2 on a rectangular one (from |.|_P to the
-    Euclidean norm, consistent on the right: ||MC|| <= ||M|| ||C||_P).  Where
-    a Frobenius or Lyapunov value is not finite, it is 2^e ||2^-e M|| with
-    2^-e M of unit size, else NaN, so every finite value keeps its bits."""
+    Euclidean norm, consistent on the right: ||MC|| <= ||M|| ||C||_P).  One
+    rule for every kind, with no warning: a value that is not finite is
+    2^e ||2^-e M|| with 2^-e M of unit size if M's parts are finite (inf
+    exactly above the largest double), inf if one is infinite and none NaN,
+    else as evaluated, so inf never turns into NaN; finite values keep their bits."""
+    if kind.kind == "lyapunov" and st.shape[2] != len(kind.scaling):
+        n = len(kind.scaling)
+        raise ShapeError(
+            f"matrix with {st.shape[2]} columns does not conform to {n}x{n} scaling"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _plain_norms(st, kind)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            m = st[bad].view(np.float64)  # the real and imaginary parts
+            top = abs(m).max(axis=(1, 2))  # NaN if a part is NaN
+            e = np.frexp(top)[1]
+            m = (m * np.ldexp(1.0, -e)[:, None, None]).view(np.complex128)
+            plain = np.ldexp(_plain_norms(m, kind), e)
+            values[bad] = np.where(top < np.inf, plain, np.fmax(values[bad], top))
+    return values
+
+
+def _plain_norms(st: np.ndarray, kind: MatrixNorm) -> np.ndarray:
+    """The norms *kind* of the stack *st* as they evaluate, inf or NaN where
+    a sum or product leaves the doubles: the one place the kinds differ."""
     if kind.kind == "one":
         return np.abs(st).sum(axis=-2).max(axis=-1, initial=0.0)
     if kind.kind == "inf":
         return np.abs(st).sum(axis=-1).max(axis=-1, initial=0.0)
     if kind.kind == "fro":
-
-        def evaluate(st):
-            # np.linalg.norm's sum: BLAS dot products of the real and of the
-            # imaginary parts, strided views of the flattened matrix
-            f = st.reshape(len(st), -1)
-            with np.errstate(over="ignore"):
-                return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
-
-    else:
-        n = len(kind.scaling)
-        if st.shape[2] != n:
-            raise ShapeError(
-                f"matrix with {st.shape[2]} columns does not conform to {n}x{n} scaling"
-            )
-
-        def evaluate(st):
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = st @ kind._lt_inv
-                if st.shape[1] == n:
-                    w = kind._lt @ w
-            finite = np.isfinite(w).all(axis=(1, 2))
-            w[~finite] = 0.0  # an SVD of inf raises
-            return np.where(finite, np.linalg.norm(w, 2, axis=(1, 2)), np.nan)
-
-    values = evaluate(st)
-    # a sum of squares past the largest double reads inf, and an SVD near it NaN
-    bad = ~np.isfinite(values)
-    if bad.any():
-        m = st[bad]
-        e = np.frexp(np.maximum(abs(m.real), abs(m.imag)).max(axis=(1, 2)))[1]
-        # inf where 2^e ||2^-e M|| is above the largest double
-        with np.errstate(over="ignore", invalid="ignore"):
-            values[bad] = np.ldexp(evaluate(m * np.ldexp(1.0, -e)[:, None, None]), e)
-    return values
+        # np.linalg.norm's sum: BLAS dot products of the parts' flat views
+        f = st.reshape(len(st), -1)
+        return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
+    w = st @ kind._lt_inv
+    if st.shape[1] == len(kind.scaling):
+        w = kind._lt @ w
+    finite = np.isfinite(w).all(axis=(1, 2))
+    w[~finite] = 0.0  # an SVD of inf raises
+    return np.where(finite, np.linalg.norm(w, 2, axis=(1, 2)), np.nan)
 
 
 def solve_right(b, m) -> np.ndarray:

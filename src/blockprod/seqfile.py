@@ -38,7 +38,7 @@ from typing import Iterable
 import numpy as np
 import orjson
 
-from .analyzer import AnalysisReport, RcpVerdict, Verdict, Witness
+from .analyzer import AnalysisReport, RcpVerdict, Witness
 from .blockform import BlockUpperTriangular
 from .errors import ParseError
 from .matrixcore import BUILTIN_NORMS, ContractionCertificate, MatrixNorm

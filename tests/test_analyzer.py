@@ -463,6 +463,20 @@ class TestCorollary1:
         with pytest.raises(ShapeError):
             corollary1_analyze(Periodic((A_HALF,)), NILPOTENT)
 
+    def test_stream_c_block_past_the_doubles_from_the_limit_is_refused(self):
+        # C - c_limit = [[0, 0], [-2e308, 0]] overflows: its Frobenius norm
+        # read NaN, which no "> eps" test refuses, so the stream converged
+        # numerically, after "overflow encountered in subtract"
+        c = np.array([[0.0, 0.0], [-1e308, 0.0]])
+        factors = [BlockUpperTriangular(1, [[1.0, 1.0]], c)] * 40
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                AnalysisRefusedError,
+                match="the C-block of stream factor 21 is farther than eps from c_limit",
+            ):
+                corollary1_analyze(Stream(factors), -c, AnalyzerConfig(horizon=40))
+
     def test_witness_is_the_phase_limits(self):
         report = corollary1_analyze(Periodic((A_HALF, A_TWO)), [[0.5]])
         assert report.verdict is Verdict.CERTIFIED_DIVERGED

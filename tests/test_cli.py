@@ -63,6 +63,8 @@ GOLDEN_CASES = [
      3, "analyze_violation.txt"),
     (("analyze", "--input", str(FIXTURES / "malformed.json")),
      2, "analyze_malformed.txt"),
+    (("product", "--input", str(FIXTURES / "overflow_row_sum_cycle.json"), "--n", "3"),
+     0, "product_overflow_row_sum_cycle.txt"),
 ]
 
 
@@ -646,6 +648,39 @@ def test_overflowing_increment_fails_the_identity_without_warnings():
     assert product.stderr.count("\n") == 1
     assert (analyzed.returncode, analyzed.stderr) == (0, "")
     assert analyzed.stdout.startswith("verdict: CertifiedDiverged\n")
+
+
+def test_overflowing_row_sums_read_inf_without_warnings(tmp_path):
+    # a row sum past the largest double is inf under the inf norm: product
+    # printed "overflow encountered in reduce" before an otherwise normal
+    # report, whose norm_X column reads inf, and norm before its undecided
+    # line
+    src = str(Path(blockprod.__file__).parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    trace = tmp_path / "t.csv"
+    product, norm = [
+        subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "blockprod.cli",
+             command, "--input", str(FIXTURES / name), *extra],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        for command, name, extra in (
+            ("product", "overflow_row_sum_cycle.json", ["--n", "3", "--trace", trace]),
+            ("norm", "overflow_row_sum_matrix.json", ["--kind", "inf"]),
+        )
+    ]  # fmt: skip
+    assert (product.returncode, product.stderr) == (0, "")
+    golden = GOLDEN / "product_overflow_row_sum_cycle.txt"
+    assert product.stdout == golden.read_text()
+    rows = trace.read_text().splitlines()
+    assert rows[0].split(",")[1] == "norm_X"
+    assert [row.split(",")[1] for row in rows[1:]] == ["inf"] * 3
+    assert (norm.returncode, norm.stdout) == (4, "")
+    assert norm.stderr.startswith("undecided:")
+    assert len(norm.stderr.splitlines()) == 1
 
 
 class TestNorm:

@@ -20,6 +20,7 @@ from blockprod import (
     GelfandCertificate,
     INF_NORM,
     InvalidCertificateError,
+    MatrixNorm,
     ShapeError,
     SingularMatrixError,
     Stream,
@@ -34,6 +35,7 @@ from blockprod import (
     step,
     trace_row,
 )
+from blockprod.matrixcore import _norms
 from blockprod.product import IDENTITY_TOL, TraceRow, _advance, _chunk_length, _run
 from conftest import random_block, random_complex
 
@@ -337,6 +339,72 @@ class TestChunkFailures:
             values = [state.bound, state.identity_residual, state.norm_x,
                       state.norm_d, state.norm_y, state.norm_gamma]  # fmt: skip
             assert all(np.isfinite(values)), state
+
+    def test_first_deviation_past_the_largest_double_reads_inf(self):
+        # D_1 = B - L_1 has an entry past the largest double, and no identity
+        # is checked at step 1: the Lyapunov norm of D_1, and so the bound,
+        # read NaN, as L^-* times an inf entry has NaN entries
+        c = np.array([[0.0, 0.38, -0.58], [0.0, 0.0, -1.36], [0.0, 0.0, 0.0]])
+        a = BlockUpperTriangular(1, [[6.7e307, 9e307, 6.2e307]], c)
+        cert = ContractionCertificate(lyapunov_scaling(c), 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = step(initial_state(1, 3), a, cert)
+        assert np.isinf(state.d_dev).any()
+        assert state.norm_d == state.bound == np.inf
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(2, 3),
+        members=st.integers(1, 3),
+        kind=st.sampled_from(["inf", "one", "fro", "lyapunov"]),
+        bs=st.lists(st.floats(-15.99, 15.99), min_size=9, max_size=9),
+        cs=st.lists(st.floats(-0.25, 0.25), min_size=27, max_size=27),
+        k=st.integers(1016, 1020),
+    )
+    @example(m=2, members=1, kind="inf", bs=[1.7e308 / 2.0**1020] * 9,
+             cs=[-0.05, 0.0, 0.0, -0.05] * 7, k=1020)  # fmt: skip
+    @example(m=3, members=1, kind="fro", bs=[10.0] * 9,
+             cs=[-0.05, 0.0, 0.0, 0.0] * 6 + [0.0] * 3, k=1020)  # fmt: skip
+    @example(m=3, members=1, kind="lyapunov", bs=[10.0] * 9,
+             cs=[-0.05, 0.0, 0.0, 0.0] * 6 + [0.0] * 3, k=1020)  # fmt: skip
+    def test_run_reads_inf_only_past_the_largest_double(
+        self, m, members, kind, bs, cs, k
+    ):
+        # s = 1 and m = 2, 3, ||C|| <= 0.75 in every kind: a state's norms
+        # may be past the largest double where the identity residual is not,
+        # and read inf there, as does a bound past it; no field is NaN.  A
+        # norm read inf is one whose matrix, scaled by 2^-2 (exactly, the
+        # parts apart), has a norm of at least 2^1021
+        norm = lyapunov_norm(np.eye(m) / 2) if kind == "lyapunov" else MatrixNorm(kind)
+        cert = ContractionCertificate(norm, 0.9)
+        cycle = [
+            BlockUpperTriangular(
+                1,
+                np.reshape(bs[i * m : (i + 1) * m], (1, m)) * 2.0**k,
+                np.reshape(cs[i * m * m : (i + 1) * m * m], (m, m)),
+            )
+            for i in range(members)
+        ]
+        states = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                for _, _, done in _run(itertools.cycle(cycle), cert, 12):
+                    states += done.states
+            except (AnalysisRefusedError, DeviationIdentityError):
+                pass
+        for state in states:
+            values = [state.bound, state.identity_residual, state.norm_x,
+                      state.norm_d, state.norm_y, state.norm_gamma]  # fmt: skip
+            assert not np.isnan(values).any(), state
+            for value, matrix in ((state.norm_x, state.x), (state.norm_d, state.d_dev),
+                                  (state.norm_y, state.y_prev),
+                                  (state.norm_gamma, state.gamma)):  # fmt: skip
+                if value == np.inf:
+                    parts = np.ascontiguousarray(matrix)[None].view(np.float64)
+                    quarter = (parts / 4).view(np.complex128)
+                    assert _norms(quarter, norm)[0] >= 2.0**1021
 
     def test_step_returns_the_state_a_chunk_computed(self):
         state = initial_state(1, 1)

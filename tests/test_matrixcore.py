@@ -426,18 +426,61 @@ class TestNormValue:
         assert norm_value(m, lyapunov_norm(p)) == pytest.approx(value, rel=rel, abs=0)
 
     @pytest.mark.parametrize(
-        "m, value, rel",
+        "kind, m, value, rel",
         [
-            (1e200 * np.ones((3, 3)), 3e200, 1e-15),
-            (np.array([[3e300, 4e300j]]), 5e300, 1e-15),
-            (np.full((2, 2), complex(BIG, BIG)), np.inf, 0),
+            (FROBENIUS, 1e200 * np.ones((3, 3)), 3e200, 1e-15),
+            (FROBENIUS, np.array([[3e300, 4e300j]]), 5e300, 1e-15),
+            (FROBENIUS, np.full((2, 2), complex(BIG, BIG)), np.inf, 0),
+            (ONE_NORM, np.array([[1e308, 0], [1e308j, 1]]), np.inf, 0),
+            (INF_NORM, np.array([[1e308, 1e308], [0, 1]]), np.inf, 0),
+            (INF_NORM, np.full((2, 2), complex(BIG, BIG)), np.inf, 0),
         ],
-        ids=["huge_matrix", "huge_row", "norm_above_the_largest_double"],
+        ids=[
+            "huge_matrix",
+            "huge_row",
+            "norm_above_the_largest_double",
+            "one-column_sum_above_the_largest_double",
+            "inf-row_sum_above_the_largest_double",
+            "inf-moduli_above_the_largest_double",
+        ],
     )
-    def test_overflowing_frobenius_sum_is_scaled(self, m, value, rel):
-        # the sum of squares is inf, so the value is 2^k ||2^-k M||_F, with no
-        # warning (pytest turns warnings into errors)
-        assert norm_value(m, FROBENIUS) == pytest.approx(value, rel=rel, abs=0)
+    def test_overflowing_frobenius_sum_is_scaled(self, kind, m, value, rel):
+        # the sum of squares (a column or row sum of moduli) is not finite,
+        # so the value is 2^k ||2^-k M||: inf past the largest double, with
+        # no warning (pytest turns warnings into errors)
+        assert norm_value(m, kind) == pytest.approx(value, rel=rel, abs=0)
+
+    @pytest.mark.parametrize(
+        "kind", [*BUILTIN_NORMS, lyapunov_norm(np.diag([1.0, 5.0]))], ids=lambda k: k.kind
+    )
+    @pytest.mark.parametrize(
+        "entry", [-np.inf, complex(0, np.inf), complex(1e308, -np.inf)],
+        ids=["real", "imaginary", "both_parts"],
+    )
+    def test_an_infinite_entry_reads_inf(self, kind, entry):
+        # a step engine quantity past the largest double has such entries;
+        # scaling the complex stack by a real 2^-k gave the part beside an
+        # infinite one NaN (inf * 0), so the Frobenius norm read NaN, and the
+        # Lyapunov product has NaN entries whatever the scaling
+        st_ = np.zeros((2, 2, 2), dtype=complex)
+        st_[0, 1, 0] = entry
+        st_[1] = [[1, 2], [3, 4]]
+        got = _norms(st_, kind).tolist()
+        assert got == [np.inf, norm_value(st_[1], kind)]
+
+    @pytest.mark.parametrize(
+        "kind", [*BUILTIN_NORMS, lyapunov_norm(np.eye(2))], ids=lambda k: k.kind
+    )
+    def test_a_nan_part_keeps_the_evaluated_value(self, kind):
+        # NaN, except where the modulus of an entry with an infinite part,
+        # inf, is a row or column sum: the rescue never turns inf into NaN
+        st_ = np.array([
+            [[np.nan, 0], [0, 1]],
+            [[np.inf, 0], [complex(0, np.nan), 1]],
+            [[complex(np.inf, np.nan), 0], [0, 1]],
+        ])  # fmt: skip
+        last = np.inf if kind in (ONE_NORM, INF_NORM) else np.nan
+        np.testing.assert_equal(_norms(st_, kind), [np.nan, np.nan, last])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -451,6 +494,24 @@ class TestNormValue:
         f = m.ravel()
         plain = np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
         assert norm_value(m, FROBENIUS) == plain
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        exponent=st.integers(-300, 307),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_finite_row_and_column_sums_keep_their_bits(
+        self, rows, cols, exponent, seed
+    ):
+        # some sums with exponent 307 pass the largest double: both read inf
+        m = random_complex(np.random.default_rng(seed), rows, cols) * 10.0**exponent
+        a = np.abs(m)
+        with np.errstate(over="ignore"):
+            sums = a.sum(axis=0).max(), a.sum(axis=1).max()
+        for kind, plain in zip((ONE_NORM, INF_NORM), sums):
+            assert norm_value(m, kind) == plain
 
     def test_ill_conditioned_scaling(self):
         # the generalized eigensolver read NaN here
