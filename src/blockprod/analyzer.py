@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .blockform import BlockUpperTriangular, block_mul
-from .errors import AnalysisRefusedError, NoContractingNormError, ShapeError
+from .errors import AnalysisRefusedError, NoContractingNormError, ParseError, ShapeError
 from .matrixcore import (
     FROBENIUS,
     ContractionCertificate,
@@ -99,21 +99,23 @@ class Stream:
 
 #: consecutive steps a stream's streak test must hold before it fires
 _STREAK_WINDOW = 20
+DEFAULT_ATOL = 1e-9  # the tolerance of certify_rcp and CLI certify-rcp by default
 
 
 @dataclass(frozen=True)
 class AnalyzerConfig:
-    """The tolerance *eps* of every verdict, and the number of factors of a
-    stream that are read, at least the streak window of 20."""
+    """The tolerance *eps* > 0 of every verdict, and the number of stream
+    factors read, an integer >= the streak window of 20; else ParseError."""
 
     eps: float = 1e-10
     horizon: int = 10000
 
     def __post_init__(self):
-        if not isinstance(self.horizon, numbers.Integral):
-            raise ValueError("horizon must be an integer")
-        if not (0 < self.eps < math.inf and self.horizon >= _STREAK_WINDOW):
-            raise ValueError(f"need 0 < eps < inf and horizon >= {_STREAK_WINDOW}")
+        if not (isinstance(self.eps, numbers.Real) and 0 < self.eps < math.inf):
+            raise ParseError(f"eps must be a finite number > 0, got {self.eps!r}")
+        window, horizon = _STREAK_WINDOW, self.horizon
+        if not (isinstance(horizon, numbers.Integral) and horizon >= window):
+            raise ParseError(f"horizon must be an integer >= {window}, got {horizon!r}")
 
 
 class Verdict(enum.Enum):
@@ -404,7 +406,7 @@ def analyze(
         return _analyze_cycle(seq, cfg, cert)
     if isinstance(seq, Stream):
         return _analyze_stream(seq, cfg, cert)
-    raise TypeError(f"unsupported presentation {type(seq).__name__}")
+    raise ParseError(f"unsupported presentation {type(seq).__name__}")
 
 
 def corollary1_analyze(
@@ -435,7 +437,8 @@ def corollary1_analyze(
                 "tend to c_limit only if they equal it"
             )
         return analyze(seq, cfg)
-
+    if not isinstance(seq, Stream):
+        raise ParseError(f"unsupported presentation {type(seq).__name__}")
     cert = spectral_certificate(c_limit)
     if cert is None:
         raise AnalysisRefusedError(
@@ -480,21 +483,22 @@ class RcpVerdict:
 
 
 def certify_rcp(
-    sigma: Sequence[BlockUpperTriangular], atol: float = 1e-9
+    sigma: Sequence[BlockUpperTriangular], atol: float = DEFAULT_ATOL
 ) -> RcpVerdict:
     """Certify whether every infinite right product from *sigma* converges.
 
     The set has the property exactly when all members share the same limit
-    candidate B (I - C)^{-1}, to within *atol* in every pair (the rule
-    :func:`analyze` applies to a cycle, Frobenius distances from
-    ``matrixcore._norms``, finite at any scale of B; a candidate that is
-    not finite raises :class:`AnalysisRefusedError`).  On failure, the
-    farthest pair (the first within 1e-15 of it) is reported with every
-    distinct phase limit of its alternating product as a divergence
-    witness.  Requires one common contracting norm over the whole set.
+    candidate B (I - C)^{-1}, to within *atol*, a finite number >= 0 (else
+    :class:`ParseError`), in every pair: :func:`analyze`'s rule for a
+    cycle, on Frobenius distances from ``matrixcore._norms``, finite at any
+    scale of B.  A candidate that is not finite raises
+    :class:`AnalysisRefusedError`.  On failure, the farthest pair (the
+    first within 1e-15 of it) is reported with every distinct phase limit
+    of its alternating product as a divergence witness.  Requires one
+    common contracting norm over the whole set.
     """
-    if not 0 <= atol < math.inf:
-        raise ValueError(f"atol must be a finite number >= 0, got {atol!r}")
+    if not (isinstance(atol, numbers.Real) and 0 <= atol < math.inf):
+        raise ParseError(f"atol must be a finite number >= 0, got {atol!r}")
     sigma = list(sigma)
     _check_conforming(sigma, "set")
     cert = _certificate_for_members(sigma, None)

@@ -3,6 +3,7 @@ structural operations."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -79,6 +80,9 @@ class BlockUpperTriangular:
         s, b, c = self.s, _read_only_copy(self.b), _read_only_copy(self.c)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+        # int first: the abstract-class check alone costs a tenth of a factor at m = 4
+        if type(s) is not int and not isinstance(s, numbers.Integral):
+            raise ShapeError(f"identity block order must be an integer, got {s!r}")
         if s < 1:
             raise ShapeError("identity block order must be >= 1")
         rows, m = c.shape

@@ -12,13 +12,13 @@ import argparse
 import contextlib
 import functools
 import itertools
-import math
 import sys
 import tempfile
 
 import numpy as np
 
 from .analyzer import (
+    DEFAULT_ATOL,
     AnalyzerConfig,
     Finite,
     Periodic,
@@ -116,8 +116,6 @@ def cmd_product(args) -> int:
 
 def cmd_analyze(args) -> int:
     doc = _load_sequence(args.input, want_set=False)
-    if not 0 < args.eps < math.inf:
-        raise ParseError("--eps must be a finite number > 0")
     cfg = AnalyzerConfig(eps=args.eps)
     seq = Periodic(doc.members) if doc.kind == "periodic" else Finite(doc.members)
     report = analyze(seq, cfg, cert=doc.certificate)
@@ -127,8 +125,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_certify_rcp(args) -> int:
     doc = _load_sequence(args.input, want_set=True)
-    if not 0 <= args.atol < math.inf:
-        raise ParseError("--atol must be a finite number >= 0")
     verdict = certify_rcp(list(doc.members), atol=args.atol)
     sys.stdout.write(format_rcp_verdict(verdict))
     return EXIT_OK if verdict.is_rcp else EXIT_NOT_RCP
@@ -174,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="decide convergence of the product")
     p.add_argument("--input", required=True)
-    p.add_argument("--eps", type=float, default=1e-10)
+    p.add_argument("--eps", type=float, default=AnalyzerConfig.eps)
 
     p = sub.add_parser("certify-rcp", help="certify the RCP property of a set")
     p.add_argument("--input", required=True)
-    p.add_argument("--atol", type=float, default=1e-9)
+    p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
 
     p = sub.add_parser("norm", help="certify contraction of a single matrix")
     p.add_argument("--input", required=True)

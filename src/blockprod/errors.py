@@ -22,9 +22,10 @@ class NoContractingNormError(BlockprodError):
     (the spectral radius is >= 1, or the construction failed numerically)."""
 
 
-class InvalidCertificateError(BlockprodError):
+class InvalidCertificateError(BlockprodError, ValueError):
     """A supplied certificate cannot bound every factor: its rate is outside
-    [0, 1), it is a Gelfand certificate, or it is not a certificate."""
+    [0, 1), its norm is not a norm, its kind or power is unknown, it is a
+    Gelfand certificate, or it is not a certificate."""
 
 
 class CertificateViolationError(BlockprodError):
@@ -50,5 +51,5 @@ class AnalysisRefusedError(BlockprodError):
 
 
 class ParseError(BlockprodError, ValueError):
-    """A sequence or matrix file is malformed or cannot be read, or a trace
-    file cannot be written."""
+    """A sequence or matrix file is malformed or cannot be read, a trace file
+    cannot be written, or a parameter is out of range or of the wrong type."""

@@ -38,6 +38,7 @@ from .errors import (
     CertificateViolationError,
     InvalidCertificateError,
     NoContractingNormError,
+    ParseError,
     ShapeError,
     SingularMatrixError,
 )
@@ -121,9 +122,9 @@ class MatrixNorm:
 
     def __post_init__(self):
         if self.kind not in ("one", "inf", "fro", "lyapunov"):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
+            raise ParseError(f"unknown norm kind {self.kind!r}")
         if (self.kind == "lyapunov") != (self.scaling is not None):
-            raise ValueError("lyapunov norms carry a scaling matrix; others do not")
+            raise ParseError("lyapunov norms carry a scaling matrix; others do not")
         if self.scaling is None:
             return
         p = as_matrix(self.scaling)
@@ -172,6 +173,8 @@ def lyapunov_norm(p) -> MatrixNorm:
 
 def norm_value(m, kind: MatrixNorm) -> float:
     """Evaluate the norm *kind* on matrix *m*, whatever its memory layout."""
+    if not isinstance(kind, MatrixNorm):
+        raise ParseError(f"expected a MatrixNorm, got {type(kind).__name__}")
     return float(_norms(np.ascontiguousarray(as_matrix(m))[None], kind)[0])
 
 
@@ -456,8 +459,10 @@ def lyapunov_scaling(c) -> MatrixNorm:
     return _stein_certificate([c]).norm
 
 
-def _check_rate(rate: float) -> None:
-    if not 0.0 <= rate < 1.0:
+def _check_certificate(norm: MatrixNorm, rate: float) -> None:
+    if not isinstance(norm, MatrixNorm):
+        raise InvalidCertificateError(f"expected a MatrixNorm, got {type(norm).__name__}")
+    if not (isinstance(rate, numbers.Real) and 0.0 <= rate < 1.0):
         raise InvalidCertificateError(f"rate {rate} not in [0, 1)")
 
 
@@ -473,9 +478,9 @@ class ContractionCertificate:
     kind: str = "declared"
 
     def __post_init__(self):
-        _check_rate(self.rate)
+        _check_certificate(self.norm, self.rate)
         if self.kind not in ("declared", "lyapunov"):
-            raise ValueError(f"unknown certificate kind {self.kind!r}")
+            raise InvalidCertificateError(f"unknown certificate kind {self.kind!r}")
 
     def _violation(
         self, cs: np.ndarray, first: int
@@ -505,9 +510,11 @@ class GelfandCertificate:
     kind: ClassVar[str] = "gelfand"
 
     def __post_init__(self):
-        _check_rate(self.rate)
+        _check_certificate(self.norm, self.rate)
         if not isinstance(self.power, numbers.Integral) or self.power < 1:
-            raise ValueError(f"power must be an integer >= 1, got {self.power!r}")
+            raise InvalidCertificateError(
+                f"power must be an integer >= 1, got {self.power!r}"
+            )
 
     def describe(self) -> str:
         return f"gelfand k={self.power} norm={self.norm.kind} rate={self.rate:.17g}"
@@ -545,12 +552,14 @@ def _certificate_search(
     # + 0 turns -0.0 into 0.0, so matrices that compare equal are one
     cs = list({(c.shape, (c + 0).tobytes()): c for c in map(as_matrix, cs)}.values())
     if not cs:
-        raise ValueError("need at least one matrix")
+        raise ShapeError("need at least one matrix")
     n = cs[0].shape[0]
     if any(c.shape != (n, n) for c in cs):
         raise ShapeError("matrices must be square and of one order")
     if not n:
         raise ShapeError("matrices must be nonempty")
+    if norm is not None and not isinstance(norm, MatrixNorm):
+        raise ParseError(f"expected a MatrixNorm or None, got {type(norm).__name__}")
     norms = BUILTIN_NORMS if norm is None else (norm,)
     st = np.array(cs)
     for candidate in norms:

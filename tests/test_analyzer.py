@@ -217,6 +217,21 @@ class TestExactCandidates:
     def test_near_tie_set_is_not_certified_rcp(self):
         assert certify_rcp(NEAR_TIE).is_rcp is not True
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: the same radii merge the rounding-distinct phase points",
+    )
+    def test_rounding_distinct_phase_points_are_one_point(self):
+        # three members L (I - C_i) built in floating point: their candidates
+        # differ from L only by rounding, and the phase points today are 3,
+        # within 1.6e-16 of each other
+        rng = np.random.default_rng(0)
+        l = random_complex(rng, 1, 3)
+        cs = [random_complex(rng, 3, 3, 0.15) for _ in range(3)]
+        cycle = [BlockUpperTriangular(1, l @ (np.eye(3) - c), c) for c in cs]
+        assert len(cycle_accumulation_points(cycle)) == 1
+
 
 class TestOneCycleRule:
     @pytest.mark.parametrize(

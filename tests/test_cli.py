@@ -508,6 +508,24 @@ def test_bad_tolerance_is_parse_error(capsys, argv):
     assert code == 2 and out == "" and err.startswith("parse error:")
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (("analyze", "constant.json", "--eps", "nan"),
+         "eps must be a finite number > 0, got nan"),
+        (("analyze", "constant.json", "--eps", "-1"),
+         "eps must be a finite number > 0, got -1.0"),
+        (("certify-rcp", "pair_rcp.json", "--atol", "inf"),
+         "atol must be a finite number >= 0, got inf"),
+    ],
+    ids=["eps_nan", "eps_negative", "atol_inf"],
+)  # fmt: skip
+def test_bad_tolerance_is_worded_by_the_library(capsys, argv, line):
+    command, name, *flag = argv
+    code, out, err = run(capsys, command, "--input", str(FIXTURES / name), *flag)
+    assert (code, out, err) == (2, "", f"parse error: {line}\n")
+
+
 # an over-range B entry, a boolean s, a NaN rate, an infinite matrix entry,
 # and integers past Python's int-conversion digit limit in B and in a matrix
 BAD_NUMBER_FILES = [

@@ -3,6 +3,7 @@ and reports every run that a planted change moves; no run of this tree
 warns or raises."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -55,7 +56,34 @@ def test_a_copy_does_not_differ(baseline, tmp_path):
     assert "<fixtures>/constant.json" in names and "-b2^997.json" in names
     proc = differential("compare", out, tmp_path / "copy.jsonl")
     assert proc.returncode == 0, proc.stdout
-    assert proc.stdout == f"{len(records)} runs in both; 0 moved; 0 in one file only\n"
+    # the summary, then one count of false certified verdicts per file
+    first, *counts = proc.stdout.splitlines()
+    assert first == f"{len(records)} runs in both; 0 moved; 0 in one file only"
+    files = [line.split(": ")[0] for line in counts]
+    assert files == [str(out), str(tmp_path / "copy.jsonl")]
+
+
+FALSE_COUNT = re.compile(
+    r"(.+): (\d+) of (\d+) certified verdicts disagree with the exact verdict"
+)
+
+
+def test_compare_counts_false_certified_verdicts(baseline):
+    # the gate count of ROADMAP items 1 and 2: on this tree, most exact
+    # dyadic pairs get a false CertifiedDiverged or NOT_RCP verdict
+    out, records = baseline
+    proc = differential("compare", out, out)
+    counts = [FALSE_COUNT.fullmatch(line) for line in proc.stdout.splitlines()[1:]]
+    assert all(counts) and len(counts) == 2, proc.stdout
+    false, certified = int(counts[0][2]), int(counts[0][3])
+    assert 0 < false < certified
+    # every analyze of a periodic dyadic file and every certify-rcp of a
+    # set one has its exact verdict, and only cycle and set runs have one
+    dyadic = [r for r in records if "-dyadic" in r["argv"][2]]
+    judged = [r for r in dyadic if r["argv"][0] in ("analyze", "certify-rcp")]
+    assert judged and all(r["exact"] in ("equal", "distinct") for r in judged)
+    assert {r["exact"] for r in judged} == {"equal", "distinct"}
+    assert all(r["exact"] is None for r in records if r["argv"][0] in ("product", "norm"))
 
 
 def test_no_run_warns_or_raises(baseline):

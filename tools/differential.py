@@ -12,7 +12,10 @@ package, such as a checkout's ``src``) in this one process and calls
 script and on seeded periodic, finite and set files: s <= 3, m <= 5, dense,
 triangular and nilpotent C-blocks, real or complex, with or without a
 declared certificate, and every B-block scaled by 2^k for k in
-{-30, 0, 20, 40, 997}.  Then come library runs of
+{-30, 0, 20, 40, 997}; and on exact dyadic pairs, as periodic and set
+files (``exact.dyadic_pair`` of ``tests/exact.py``: B = L (I - C) exactly
+in binary, with equal or, in every third pair, distinct exact limit
+candidates).  Then come library runs of
 ``analyze(Stream(...), AnalyzerConfig(horizon=n), cert)`` on seeded
 streams, s, m <= 4 and n <= 120: converging, period-2 and fresh random
 streams, and faulty ones with a violating, a singular or a nonconforming
@@ -29,11 +32,16 @@ argv, the exit code, stdout, stderr and the trace CSV, with file paths
 replaced by placeholders and the paths and line numbers of warnings
 dropped.  Warnings are shown once per run and place, as a fresh process
 shows them, and an exception that is not a library error is recorded as
-the code ``raised <type>``.
+the code ``raised <type>``.  An ``analyze`` run of a periodic or finite
+file and a ``certify-rcp`` run of a set file with m <= 4 also record the
+exact verdict of ``tests/exact.py``: whether the limit candidates of the
+cycle (a finite file's last member) or of the set are equal.
 
 ``compare`` prints the runs whose records differ, grouped by subcommand
 and exit-code transition, with the first line that moved in each output,
-and exits 1 if any run moved or is in one file only.
+and exits 1 if any run moved or is in one file only.  For each file it
+also prints how many certified verdicts (``CertifiedConverged``,
+``CertifiedDiverged``, ``RCP``, ``NOT_RCP``) disagree with the exact one.
 """
 
 from __future__ import annotations
@@ -55,9 +63,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-FIXTURES = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
+TESTS = Path(__file__).resolve().parents[1] / "tests"
+sys.path.append(str(TESTS))
+import exact  # noqa: E402  (tests/exact.py, the exact oracle)
+
+FIXTURES = TESTS / "fixtures"
 SEEDS = (1, 2)
 CASES = 40  # seeded bases per seed
+DYADIC_PAIRS = 12  # exact dyadic pairs per seed
 SCALE_EXPONENTS = (-30, 0, 20, 40, 997)
 STREAM_CASES = 18  # seeded streams per seed, each run at every scale of B
 STREAM_KINDS = ("converging", "period-2", "fresh", "violating", "singular",
@@ -162,7 +175,53 @@ def generate(directory: Path) -> list[list[str]]:
             (directory / name).write_text(json.dumps({"matrix": _entries(cs[0])}))
             path = f"<gen>/{name}"
             runs.extend(["norm", "--input", path, "--kind", k] for k in NORM_KINDS)
+        rng = np.random.default_rng([seed, 2])
+        for case in range(DYADIC_PAIRS):
+            s, m = int(rng.integers(1, 3)), int(rng.integers(1, 5))
+            pair = exact.dyadic_pair(rng, s, m, apart=case % 3 == 2)
+            matrices = [{"B": _entries(b), "C": _entries(c)} for b, c in pair]
+            for kind in ("periodic", "set"):
+                name = f"s{seed}-dyadic{case}-{kind}.json"
+                doc = {"kind": kind, "s": s, "d": s + m, "matrices": matrices}
+                (directory / name).write_text(json.dumps(doc))
+                path = f"<gen>/{name}"
+                if kind == "set":
+                    runs.append(["certify-rcp", "--input", path])
+                else:
+                    runs.append(["product", "--input", path, "--n", "9"])
+                    runs.append(["analyze", "--input", path])
     return runs
+
+
+def exact_verdict(argv: list[str], path: str) -> str | None:
+    """``equal`` or ``distinct``: the exact limit candidates of the cycle
+    that ``analyze`` reads from the file at *path*, or of the set that
+    ``certify-rcp`` reads; None for any other run, a file whose kind the
+    command refuses or that does not read as numbers, m > 4, or a
+    singular I - C."""
+    if argv[0] not in ("analyze", "certify-rcp"):
+        return None
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        kind, blocks = doc["kind"], [(m["B"], m["C"]) for m in doc["matrices"]]
+        if (argv[0] == "certify-rcp") != (kind == "set"):
+            return None
+        members = [(_array(b), _array(c)) for b, c in blocks]
+        if kind == "finite":
+            members = members[-1:]
+        if not members or any(len(c) > exact.MAX_ORDER for _, c in members):
+            return None
+        same = exact.same_candidates(members)
+    except (KeyError, TypeError, ValueError, OverflowError, IndexError):
+        return None
+    return None if same is None else "equal" if same else "distinct"
+
+
+def _array(entries) -> np.ndarray:
+    """The nested lists of a sequence file as an array: [re, im] pairs are
+    complex entries."""
+    a = np.array(entries, dtype=float)
+    return a[..., 0] + 1j * a[..., 1] if a.ndim == 3 else a
 
 
 class StreamCase(NamedTuple):
@@ -382,18 +441,20 @@ def cmd_run(args) -> int:
 
         calls = []
         for argv in runs:
+            verdict = exact_verdict(argv, expand(argv[2]))
             if argv[0] == "product":
                 argv = [*argv, "--trace", "<trace>"]
             call = functools.partial(blockprod.cli.main, [*map(expand, argv)])
-            calls.append((argv, call))
-        calls += stream_runs(blockprod)
+            calls.append((argv, call, verdict))
+        calls += [(argv, call, None) for argv, call in stream_runs(blockprod)]
         with open(args.out, "w", encoding="utf-8") as fh:
-            for argv, call in calls:
+            for argv, call, verdict in calls:
                 trace.unlink(missing_ok=True)
                 code, out, err = _call(call)
                 csv = trace.read_text(encoding="utf-8") if trace.exists() else None
                 record = {"argv": argv, "code": code, "stdout": normalise(out),
-                          "stderr": normalise(err), "csv": csv}  # fmt: skip
+                          "stderr": normalise(err), "csv": csv,
+                          "exact": verdict}  # fmt: skip
                 fh.write(json.dumps(record) + "\n")
     print(f"{len(calls)} runs of {src} written to {args.out}")
     return 0
@@ -413,6 +474,28 @@ def _first_moved_line(a: str | None, b: str | None) -> str:
     return "line endings"
 
 
+#: the certified verdicts of analyze and certify-rcp, by the first line of
+#: their stdout, and the exact verdict each one claims
+CLAIMS = {
+    "verdict: CertifiedConverged": "equal",
+    "verdict: CertifiedDiverged": "distinct",
+    "RCP": "equal",
+    "NOT_RCP": "distinct",
+}
+
+
+def false_certificates(records) -> tuple[int, int]:
+    """How many runs give a certified verdict where an exact verdict is
+    recorded, and how many of those disagree with it."""
+    claims = [
+        (CLAIMS.get(r["stdout"].partition("\n")[0]), r["exact"])
+        for r in records
+        if r.get("exact") is not None
+    ]
+    claims = [(claim, truth) for claim, truth in claims if claim is not None]
+    return len(claims), sum(claim != truth for claim, truth in claims)
+
+
 def cmd_compare(args) -> int:
     a, b = _load(args.a), _load(args.b)
     groups = defaultdict(list)
@@ -425,6 +508,10 @@ def cmd_compare(args) -> int:
     moved = sum(map(len, groups.values()))
     print(f"{len(a.keys() & b.keys())} runs in both; {moved} moved; "
           f"{len(only)} in one file only")  # fmt: skip
+    for path, records in ((args.a, a), (args.b, b)):
+        certified, false = false_certificates(records.values())
+        print(f"{path}: {false} of {certified} certified verdicts disagree "
+              "with the exact verdict")  # fmt: skip
     for (command, code_a, code_b), items in sorted(groups.items(), key=str):
         print(f"{command}, exit {code_a} -> {code_b}: {len(items)} moved")
         for argv, fields in items:
