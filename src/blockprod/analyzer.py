@@ -20,13 +20,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .blockform import BlockUpperTriangular, block_mul
+from .blockform import BlockUpperTriangular, _check_conforming, block_mul
 from .errors import AnalysisRefusedError, NoContractingNormError, ParseError, ShapeError
 from .matrixcore import (
     FROBENIUS,
     ContractionCertificate,
     GelfandCertificate,
     _certificate_search,
+    _is_number,
     _norms,
     _stack,
     as_matrix,
@@ -51,15 +52,6 @@ __all__ = [
     "certify_rcp",
     "cycle_accumulation_points",
 ]
-
-
-def _check_conforming(members: Sequence[BlockUpperTriangular], what: str):
-    if not members:
-        raise ShapeError(f"{what} must be nonempty")
-    s, m = members[0].s, members[0].csize
-    for a in members[1:]:
-        if a.s != s or a.csize != m:
-            raise ShapeError(f"all members of a {what} must share the same (s, d)")
 
 
 @dataclass(frozen=True)
@@ -111,10 +103,10 @@ class AnalyzerConfig:
     horizon: int = 10000
 
     def __post_init__(self):
-        if not (isinstance(self.eps, numbers.Real) and 0 < self.eps < math.inf):
+        if not (_is_number(self.eps) and 0 < self.eps < math.inf):
             raise ParseError(f"eps must be a finite number > 0, got {self.eps!r}")
         window, horizon = _STREAK_WINDOW, self.horizon
-        if not (isinstance(horizon, numbers.Integral) and horizon >= window):
+        if not (_is_number(horizon, numbers.Integral) and horizon >= window):
             raise ParseError(f"horizon must be an integer >= {window}, got {horizon!r}")
 
 
@@ -176,9 +168,11 @@ def cycle_accumulation_points(
     the limit candidate of A_1 ... A_p; each next one is one step
     x -> B_j + x C_j from the one before, so the cycle costs one LU solve.
     Every distinct phase limit is returned, in phase order; only exact
-    duplicates are dropped.
+    duplicates are dropped.  The cycle is checked as :class:`Periodic`
+    checks it.
     """
     cycle = list(cycle)
+    _check_conforming(cycle, "cycle")
     p = next(p for p in range(1, len(cycle) + 1) if cycle[p:] + cycle[:p] == cycle)
     x = functools.reduce(block_mul, cycle[:p]).limit
     points = [x]
@@ -497,7 +491,7 @@ def certify_rcp(
     of its alternating product as a divergence witness.  Requires one
     common contracting norm over the whole set.
     """
-    if not (isinstance(atol, numbers.Real) and 0 <= atol < math.inf):
+    if not (_is_number(atol) and 0 <= atol < math.inf):
         raise ParseError(f"atol must be a finite number >= 0, got {atol!r}")
     sigma = list(sigma)
     _check_conforming(sigma, "set")

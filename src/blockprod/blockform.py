@@ -9,15 +9,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AnalysisRefusedError, BlockprodError, ShapeError
-from .matrixcore import _solve_right_each, _stack, as_matrix
+from .errors import AnalysisRefusedError, BlockprodError, ParseError, ShapeError
+from .matrixcore import _is_number, _solve_right_each, _stack, as_matrix
 
 __all__ = ["BlockUpperTriangular", "block_mul"]
 
 
 def _read_only_copy(data) -> np.ndarray:
-    # one C-ordered copy; as_matrix takes it as it is, and checks it
-    m = as_matrix(np.array(data, dtype=np.complex128, order="C"))
+    m = as_matrix(data).copy()  # C-ordered, whatever the layout of data
     m.setflags(write=False)
     return m
 
@@ -81,7 +80,7 @@ class BlockUpperTriangular:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         # int first: the abstract-class check alone costs a tenth of a factor at m = 4
-        if type(s) is not int and not isinstance(s, numbers.Integral):
+        if type(s) is not int and not _is_number(s, numbers.Integral):
             raise ShapeError(f"identity block order must be an integer, got {s!r}")
         if s < 1:
             raise ShapeError("identity block order must be >= 1")
@@ -134,12 +133,33 @@ class BlockUpperTriangular:
         return out
 
 
+def _split(a) -> tuple[int, int]:
+    """The block orders (s, m) of the factor *a*, the shape of its B-block:
+    the per-item part of :func:`_check_conforming`.  Raises
+    :class:`ParseError` when *a* is not a :class:`BlockUpperTriangular`."""
+    if not isinstance(a, BlockUpperTriangular):
+        raise ParseError(f"expected a BlockUpperTriangular, got {type(a).__name__}")
+    return a.b.shape
+
+
+def _check_conforming(factors: Sequence[BlockUpperTriangular], what: str) -> None:
+    """The one check of a list of *factors*, named *what* in the messages:
+    it is nonempty (else :class:`ShapeError`), each item is a
+    :class:`BlockUpperTriangular` (else :class:`ParseError`), and all share
+    the block orders (s, m) of the first (else :class:`ShapeError`)."""
+    if not factors:
+        raise ShapeError(f"{what} must be nonempty")
+    split = _split(factors[0])
+    for a in factors[1:]:
+        if _split(a) != split:
+            raise ShapeError(f"all members of a {what} must share the same (s, d)")
+
+
 def block_mul(a1: BlockUpperTriangular, a2: BlockUpperTriangular) -> BlockUpperTriangular:
     """Product of two presentations, staying in block form.
 
     The product of [[I, B1],[0, C1]] and [[I, B2],[0, C2]] is
     [[I, B2 + B1 C2], [0, C1 C2]].
     """
-    if a1.s != a2.s or a1.csize != a2.csize:
-        raise ShapeError("factors must share the same (s, d) split")
+    _check_conforming((a1, a2), "product")
     return BlockUpperTriangular(a1.s, a2.b + a1.b @ a2.c, a1.c @ a2.c)

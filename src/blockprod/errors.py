@@ -47,7 +47,8 @@ class DeviationIdentityError(BlockprodError, ArithmeticError):
 
 class AnalysisRefusedError(BlockprodError):
     """No contraction certificate is obtainable, or a limit candidate is not
-    finite, so the convergence test hypothesis cannot be verified."""
+    finite, so the convergence test hypothesis cannot be verified; or the
+    solution of :func:`~blockprod.matrixcore.solve_right` is not finite."""
 
 
 class ParseError(BlockprodError, ValueError):

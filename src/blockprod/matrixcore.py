@@ -35,6 +35,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import (
+    AnalysisRefusedError,
     CertificateViolationError,
     InvalidCertificateError,
     NoContractingNormError,
@@ -92,10 +93,22 @@ _GETRF, _GETRS, _TRTRS = _FLAPACK.zgetrf, _FLAPACK.zgetrs, _FLAPACK.ztrtrs
 _GEES, _DGESV = _FLAPACK.zgees, _FLAPACK.dgesv
 
 
+def _is_number(x, kind=numbers.Real) -> bool:
+    """Whether *x* is a number of the abstract *kind*: a bool is none, here
+    as in the file reader."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def as_matrix(data) -> np.ndarray:
-    """Coerce 2-D *data* to a complex128 array, rejecting every other number
-    of dimensions (a vector is not read as a row) and NaN/Inf entries."""
-    m = np.asarray(data, dtype=np.complex128)
+    """Coerce 2-D *data* to a complex128 array, rejecting with
+    :class:`ShapeError` what numpy cannot read as one (entries that are not
+    numbers, rows of different lengths), every other number of dimensions
+    (a vector is not read as a row) and NaN/Inf entries: the one coercion
+    of matrix data.  A complex128 ndarray is returned as it is, not copied."""
+    try:
+        m = np.asarray(data, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise ShapeError("matrix entries must be numbers in rows of one length") from None
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
     if np.count_nonzero(np.isfinite(m)) != m.size:
@@ -236,7 +249,8 @@ def solve_right(b, m) -> np.ndarray:
 
     Never forms an explicit inverse.  Raises :class:`SingularMatrixError`
     (carrying the smallest pivot magnitude) when m is singular to working
-    precision.
+    precision, and :class:`AnalysisRefusedError` when X has an entry that
+    is not finite.
     """
     b = as_matrix(b)
     m = as_matrix(m)
@@ -249,6 +263,8 @@ def solve_right(b, m) -> np.ndarray:
     xs, singular = _solve_right_each([b], [m])
     if singular is not None:
         raise singular
+    if not np.isfinite(xs[0]).all():
+        raise AnalysisRefusedError("solution X of X m = b has an entry that is not finite")
     return xs[0]
 
 
@@ -462,7 +478,7 @@ def lyapunov_scaling(c) -> MatrixNorm:
 def _check_certificate(norm: MatrixNorm, rate: float) -> None:
     if not isinstance(norm, MatrixNorm):
         raise InvalidCertificateError(f"expected a MatrixNorm, got {type(norm).__name__}")
-    if not (isinstance(rate, numbers.Real) and 0.0 <= rate < 1.0):
+    if not (_is_number(rate) and 0.0 <= rate < 1.0):
         raise InvalidCertificateError(f"rate {rate} not in [0, 1)")
 
 
@@ -511,7 +527,7 @@ class GelfandCertificate:
 
     def __post_init__(self):
         _check_certificate(self.norm, self.rate)
-        if not isinstance(self.power, numbers.Integral) or self.power < 1:
+        if not (_is_number(self.power, numbers.Integral) and self.power >= 1):
             raise InvalidCertificateError(
                 f"power must be an integer >= 1, got {self.power!r}"
             )

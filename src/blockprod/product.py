@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .blockform import BlockUpperTriangular, _limits
+from .blockform import BlockUpperTriangular, _check_conforming, _limits, _split
 from .errors import BlockprodError, DeviationIdentityError, ShapeError
 from .matrixcore import (
     ContractionCertificate,
@@ -132,21 +132,22 @@ def _chunk_length(m: int) -> int:
 def _stream_chunks(
     factors: Iterable[BlockUpperTriangular], horizon: int
 ) -> Iterator[list[BlockUpperTriangular]]:
-    """The first *horizon* factors of a stream, which must all share the
-    block orders (s, m) of the first, in chunks of the step engine's length
-    for their C-block order.  When reading raises inside a chunk, the
-    factors read before are yielded first, so a consumer that reaches a
-    verdict among them never sees the exception."""
+    """The first *horizon* factors of a stream, which must all be
+    :class:`BlockUpperTriangular` (else :class:`ParseError`) and share the
+    block orders (s, m) of the first (else :class:`ShapeError`), in chunks
+    of the step engine's length for their C-block order.  When reading
+    raises inside a chunk, the factors read before are yielded first, so a
+    consumer that reaches a verdict among them never sees the exception."""
     chunk: list[BlockUpperTriangular] = []
     try:
         for n, a in enumerate(itertools.islice(factors, horizon), start=1):
-            if n == 1:  # a factor's B-block has the shape (s, m)
-                split, shape = (a.s, a.csize), a.b.shape
-                size = _chunk_length(a.csize)
-            elif a.b.shape != shape:
+            split = _split(a)
+            if n == 1:
+                first, size = split, _chunk_length(split[1])
+            elif split != first:
                 raise ShapeError(
-                    f"stream factor {n} has (s, m) = ({a.s}, {a.csize}); "
-                    f"the stream began with {split}"
+                    f"stream factor {n} has (s, m) = {split}; "
+                    f"the stream began with {first}"
                 )
             chunk.append(a)
             if len(chunk) == size:
@@ -279,11 +280,13 @@ def step(
     alive, it is returned.
 
     A certificate that is not a :class:`ContractionCertificate` raises
-    :class:`InvalidCertificateError`, and a factor whose B-block does not
-    have the shape of X :class:`ShapeError`.  A factor whose C-block's norm
-    is above the rate or NaN raises :class:`CertificateViolationError`
-    naming the step, one whose I - C is singular :class:`SingularMatrixError`,
-    and one whose limit candidate is not finite :class:`AnalysisRefusedError`.
+    :class:`InvalidCertificateError`, a factor that is not a
+    :class:`BlockUpperTriangular` :class:`ParseError`, and a factor whose
+    B-block does not have the shape of X :class:`ShapeError`.  A factor
+    whose C-block's norm is above the rate or NaN raises
+    :class:`CertificateViolationError` naming the step, one whose I - C is
+    singular :class:`SingularMatrixError`, and one whose limit candidate is
+    not finite :class:`AnalysisRefusedError`.
     The deviation identity D' = (D - Y) C is verified at every step past the
     first, to within ``IDENTITY_TOL`` max(1, ||X_n||, ||X_{n-1}||, ||D_n||);
     a residual above that or not finite raises :class:`DeviationIdentityError`.
@@ -301,9 +304,10 @@ def step(
         if new is not None:
             return new
     cert = require_per_factor(cert)
-    if a.b.shape != state.x.shape:
+    split = _split(a)
+    if split != state.x.shape:
         raise ShapeError(
-            f"factor {state.n + 1} has (s, m) = {a.b.shape}; "
+            f"factor {state.n + 1} has (s, m) = {split}; "
             f"the product has {state.x.shape}"
         )
     done = _advance(state, (a,), cert)
@@ -316,8 +320,9 @@ def explicit_sum(seq: Sequence[BlockUpperTriangular], n: int) -> np.ndarray:
     """X_n by the explicit telescoped sum sum_i B_{n-i} (C_{n+1-i} ... C_n).
 
     The i = 0 term carries the empty product (the identity).  Agrees with
-    the step recurrence to rounding.
+    the step recurrence to rounding.  *seq* is checked as a cycle is.
     """
+    _check_conforming(seq, "sequence")
     if not 1 <= n <= len(seq):
         raise IndexError(f"n={n} out of range for sequence of length {len(seq)}")
     acc = np.zeros_like(seq[0].b)
@@ -329,7 +334,9 @@ def explicit_sum(seq: Sequence[BlockUpperTriangular], n: int) -> np.ndarray:
 
 
 def dense_partial_product(seq: Sequence[BlockUpperTriangular], n: int) -> np.ndarray:
-    """Brute-force P_n by left-to-right dense multiplication (the oracle)."""
+    """Brute-force P_n by left-to-right dense multiplication (the oracle);
+    *seq* is checked as a cycle is."""
+    _check_conforming(seq, "sequence")
     if not 1 <= n <= len(seq):
         raise IndexError(f"n={n} out of range for sequence of length {len(seq)}")
     out = seq[0].to_dense()
@@ -372,7 +379,8 @@ def left_product_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One left-multiplication: Z' = Z + B Gamma, Gamma' = C Gamma."""
     z, gamma = zstate
-    if z.shape != (a.s, a.csize) or gamma.shape != (a.csize, a.csize):
+    s, m = _split(a)
+    if z.shape != (s, m) or gamma.shape != (m, m):
         raise ShapeError("state does not conform to the factor's block split")
     return z + a.b @ gamma, a.c @ gamma
 

@@ -151,6 +151,17 @@ def dyadic_pair(rng: np.random.Generator, s: int, m: int, apart: bool = False):
     return dyadic_members(l, cs, apart)
 
 
+def complex_dyadic_pair(rng: np.random.Generator, s: int, m: int):
+    """Two members (B_i, C_i) with complex C_i = (K_i + i K'_i) / 2^10 for
+    integers |K_i|, |K'_i| < 2^7, so ||C_i||_inf < 4 sqrt(2) 2^-3 < 0.71 at
+    m <= 4, and B_i = L (I - C_i) for one s x m L of Gaussian integers with
+    parts up to 7e6.  Every B_i is exact in double precision, so both exact
+    candidates are L."""
+    k = rng.integers(-127, 128, (2, 2, m, m))
+    l = rng.integers(-7_000_000, 7_000_001, (2, s, m))
+    return dyadic_members(l[0] + 1j * l[1], (k[:, 0] + 1j * k[:, 1]) / 1024)
+
+
 def dyadic_members(l: np.ndarray, cs, apart: bool = False):
     """The members (L_i (I - C_i), C_i) of :func:`dyadic_pair`."""
     shifted = l.copy()

@@ -21,6 +21,7 @@ from blockprod import (
     INF_NORM,
     InvalidCertificateError,
     MatrixNorm,
+    ParseError,
     ShapeError,
     SingularMatrixError,
     Stream,
@@ -469,6 +470,7 @@ FAULTS = {
         "stream factor 25",
     ),
     "iterator": (None, RuntimeError, "factor 25"),
+    "not_a_factor": ("x", ParseError, "expected a BlockUpperTriangular, got str"),
 }
 
 

@@ -1,26 +1,42 @@
-"""A malformed parameter of a public function raises a typed
-:class:`BlockprodError`, worded per parameter, and never a bare
-``ValueError``, ``TypeError`` or ``AttributeError``."""
+"""A malformed parameter, matrix datum or list of factors given to a public
+function raises a typed :class:`BlockprodError`, worded per parameter, and
+never a bare ``ValueError``, ``TypeError``, ``AttributeError`` or
+``StopIteration``, nor broadcasts."""
 
 import numpy as np
 import pytest
 
 from blockprod import (
+    AnalysisRefusedError,
     AnalyzerConfig,
     BlockUpperTriangular,
     BlockprodError,
     ContractionCertificate,
+    Finite,
     GelfandCertificate,
     INF_NORM,
     InvalidCertificateError,
     MatrixNorm,
     ParseError,
+    Periodic,
     ShapeError,
+    Stream,
     analyze,
+    as_matrix,
+    block_mul,
     certify_rcp,
     corollary1_analyze,
+    cycle_accumulation_points,
+    dense_partial_product,
+    explicit_sum,
+    initial_state,
+    left_product_init,
+    left_product_step,
+    lyapunov_norm,
     norm_value,
+    solve_right,
     spectral_certificate,
+    step,
     uniform_certificate,
 )
 from blockprod.analyzer import DEFAULT_ATOL
@@ -28,6 +44,9 @@ from blockprod.cli import build_parser
 
 A_HALF = BlockUpperTriangular(1, [[1.0]], [[0.5]])
 A_TWO = BlockUpperTriangular(1, [[2.0]], [[0.5]])
+A_S1 = BlockUpperTriangular(1, [[1.0, 0.0]], 0.5 * np.eye(2))
+A_S2 = BlockUpperTriangular(2, np.eye(2), 0.5 * np.eye(2))
+CERT = ContractionCertificate(INF_NORM, 0.9)
 
 MALFORMED = [
     ("rate_not_a_number", lambda: ContractionCertificate(INF_NORM, "x"),
@@ -54,6 +73,37 @@ MALFORMED = [
     ("eps_not_a_number", lambda: AnalyzerConfig(eps="x"), ParseError),
     ("horizon_not_a_number", lambda: AnalyzerConfig(horizon="x"), ParseError),
     ("atol_not_a_number", lambda: certify_rcp([A_HALF, A_TWO], atol="x"), ParseError),
+    # matrix data, lists of factors, results and flags that escaped as
+    # numpy's or Python's own error, broadcast, or were accepted (a Stream is
+    # read, so analyze refuses it, with a certificate)
+    ("explicit_sum_of_two_splits", lambda: explicit_sum([A_S1, A_S2], 2), ShapeError),
+    ("dense_product_of_two_splits", lambda: dense_partial_product([A_S1, A_S2], 2),
+     ShapeError),
+    ("explicit_sum_of_a_non_factor", lambda: explicit_sum([1], 1), ParseError),
+    ("empty_cycle_points", lambda: cycle_accumulation_points([]), ShapeError),
+    ("periodic_non_factor", lambda: Periodic([A_HALF, 1]), ParseError),
+    ("finite_non_factor", lambda: Finite(["x"]), ParseError),
+    ("set_non_factor", lambda: certify_rcp([A_HALF, None]), ParseError),
+    ("block_mul_non_factor", lambda: block_mul(A_HALF, 2.0), ParseError),
+    ("step_non_factor", lambda: step(initial_state(1, 1), "x", CERT), ParseError),
+    ("left_step_non_factor", lambda: left_product_step(left_product_init(1, 1), 3),
+     ParseError),
+    ("stream_non_factor", lambda: analyze(Stream([A_HALF, 1]), cert=CERT), ParseError),
+    ("non_numeric_block", lambda: BlockUpperTriangular(1, "x", [[0.5]]), ShapeError),
+    ("non_numeric_scaling", lambda: lyapunov_norm("x"), ShapeError),
+    ("object_entry", lambda: as_matrix([[object()]]), ShapeError),
+    ("ragged_block", lambda: BlockUpperTriangular(1, [[1], [1, 2]], [[0.5]]),
+     ShapeError),
+    ("solve_right_not_finite",
+     lambda: solve_right([[1e308, 1e308]], [[0.5, 0], [0, 0.5]]), AnalysisRefusedError),
+    ("eps_true", lambda: AnalyzerConfig(eps=True), ParseError),
+    ("atol_true", lambda: certify_rcp([A_HALF, A_TWO], atol=True), ParseError),
+    ("rate_false", lambda: ContractionCertificate(INF_NORM, False),
+     InvalidCertificateError),
+    ("gelfand_power_true", lambda: GelfandCertificate(INF_NORM, 0.5, power=True),
+     InvalidCertificateError),
+    ("identity_order_true", lambda: BlockUpperTriangular(True, [[1.0]], [[0.5]]),
+     ShapeError),
 ]  # fmt: skip
 
 
@@ -64,7 +114,8 @@ def test_malformed_parameters_raise_typed_errors(build, error):
     with pytest.raises(BlockprodError) as info:
         build()
     assert type(info.value) is error
-    assert isinstance(info.value, ValueError)  # every parameter error is one
+    # every parameter error is one; a refused result is not
+    assert isinstance(info.value, ValueError) is (error is not AnalysisRefusedError)
 
 
 EPS = "eps must be a finite number > 0, got "

@@ -71,6 +71,13 @@ class TestOracle:
             assert np.abs(c).sum(axis=1).max() < 0.95
             assert np.array_equal(c * 1024, np.round(c * 1024))
 
+    def test_complex_dyadic_pairs_are_exact(self):
+        pair = exact.complex_dyadic_pair(np.random.default_rng(0), 2, 4)
+        assert exact.same_candidates(pair) is True
+        for b, c in pair:
+            assert np.abs(c).sum(axis=1).max() < 0.71
+            assert np.array_equal(c * 1024, np.round(c * 1024))
+
     def test_inf_norm_is_exact_for_real_entries(self):
         # the exact sum of the doubles 0.1 and 0.2, which exceeds the double 0.3
         m = exact.matrix([[0.1, -0.2], [0.3, 0.0]])
@@ -92,13 +99,9 @@ def dyadic_pairs(draw):
     return exact.dyadic_members(np.array(l, dtype=float), cs, draw(st.booleans()))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
-@settings(max_examples=60, deadline=None)
-@example(pair=exact.dyadic_pair(np.random.default_rng(5), 1, 4))
-@given(pair=dyadic_pairs())
-def test_certified_cycle_and_set_verdicts_hold_exactly(pair):
-    # the computed candidates of exactly equal ones differ by up to about
-    # 1e-8 at these scales, above eps and atol, and are certified distinct
+def assert_certified_verdicts_hold(pair):
+    """The cycle verdict of *pair*'s members and their RCP outcome agree
+    with the exact oracle."""
     members = [BlockUpperTriangular(len(b), b, c) for b, c in pair]
     equal = exact.same_candidates(pair)
     verdict = analyze(Periodic(members)).verdict
@@ -107,6 +110,64 @@ def test_certified_cycle_and_set_verdicts_hold_exactly(pair):
     if verdict is Verdict.CERTIFIED_DIVERGED:
         assert not equal
     assert certify_rcp(members).is_rcp is equal
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@settings(max_examples=60, deadline=None)
+@example(pair=exact.dyadic_pair(np.random.default_rng(5), 1, 4))
+@given(pair=dyadic_pairs())
+def test_certified_cycle_and_set_verdicts_hold_exactly(pair):
+    # the computed candidates of exactly equal ones differ by up to about
+    # 1e-8 at these scales, above eps and atol, and are certified distinct
+    assert_certified_verdicts_hold(pair)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@settings(max_examples=60, deadline=None)
+@example(b=1.0, gap=5e-12, c=0.5)
+@given(b=st.floats(0.5, 2.0), gap=st.floats(0.0, 1e-10), c=st.floats(0.05, 0.95))
+def test_near_ties_are_certified_as_they_are(b, gap, c):
+    # candidates b / (1 - c) and (b + gap) / (1 - c): a gap within eps is
+    # certified as convergence, although the exact product oscillates
+    assert_certified_verdicts_hold([([[b]], [[c]]), ([[b + gap]], [[c]])])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@settings(max_examples=60, deadline=None)
+@example(seed=0)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_members_built_in_floating_point_are_certified_as_they_are(seed):
+    # three members L (I - C_i) rounded in floating point: their exact
+    # candidates differ from L by rounding and are distinct, yet the cycle
+    # is certified convergent (seeds 0-49, all 50)
+    rng = np.random.default_rng(seed)
+    l = random_complex(rng, 1, 3)
+    cs = [random_complex(rng, 3, 3, 0.15) for _ in range(3)]
+    assert_certified_verdicts_hold([(l @ (np.eye(3) - c), c) for c in cs])
+
+
+@st.composite
+def complex_dyadic_pairs(draw):
+    """The family of :func:`exact.complex_dyadic_pair`, drawn by hypothesis."""
+    s, m = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+
+    def matrix(parts, rows):
+        n = 2 * rows * m
+        k = np.array(draw(st.lists(parts, min_size=n, max_size=n)))
+        return (k[::2] + 1j * k[1::2]).reshape(rows, m)
+
+    cs = [matrix(st.integers(-127, 127), m) / 1024 for _ in range(2)]
+    return exact.dyadic_members(matrix(st.integers(-7_000_000, 7_000_000), s), cs)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@settings(max_examples=60, deadline=None)
+@example(pair=exact.complex_dyadic_pair(np.random.default_rng(5), 1, 4))
+@given(pair=complex_dyadic_pairs())
+def test_complex_dyadic_pairs_are_certified_as_they_are(pair):
+    # exact complex data with equal exact candidates: certified divergent in
+    # 100 of 100 default_rng(5) draws at s = 1, m = 4
+    assert_certified_verdicts_hold(pair)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")

@@ -13,6 +13,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from blockprod import (
+    AnalysisRefusedError,
     BUILTIN_NORMS,
     BlockprodError,
     BlockUpperTriangular,
@@ -137,6 +138,28 @@ class TestAsMatrix:
         with pytest.raises(ShapeError):
             as_matrix([1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "data",
+        ["x", [[1.0], [1.0, 2.0]], [[1.0, "a"]], [[object()]], [[10**400]], {"a": 1}],
+        ids=["string", "ragged", "word_entry", "object_entry", "huge_int", "dict"],
+    )
+    def test_refuses_what_numpy_cannot_read(self, data):
+        # through every construction point, with no numpy error escaping
+        for build in (
+            lambda: as_matrix(data),
+            lambda: BlockUpperTriangular(1, data, [[0.5]]),
+            lambda: BlockUpperTriangular(1, [[1.0]], data),
+            lambda: lyapunov_norm(data),
+            lambda: norm_value(data, INF_NORM),
+            lambda: solve_right(data, [[0.5]]),
+        ):
+            with pytest.raises(ShapeError, match="^matrix entries must be numbers in rows"):
+                build()
+
+    def test_a_complex_matrix_is_not_copied(self):
+        m = np.asfortranarray(np.ones((2, 3), dtype=np.complex128))
+        assert as_matrix(m) is m
+
 
 class TestSolveRight:
     def test_scalar_division(self):
@@ -159,6 +182,14 @@ class TestSolveRight:
             b = random_complex(rng, rng.integers(1, 5), n)
             x = solve_right(b, m)
             assert np.linalg.norm(x @ m - b) <= 1e-10 * (1 + np.linalg.norm(b))
+
+    def test_a_solution_that_is_not_finite_is_refused(self):
+        # the solve of BlockUpperTriangular.limit, which keeps its own message
+        b, m = [[1e308, 1e308]], [[0.5, 0.0], [0.0, 0.5]]
+        with pytest.raises(AnalysisRefusedError, match=r"^solution X of X m = b has"):
+            solve_right(b, m)
+        with pytest.raises(AnalysisRefusedError, match=r"^limit candidate B \(I - C\)"):
+            BlockUpperTriangular(1, b, np.eye(2) - m).limit
 
     def test_singular_raises_with_pivot(self):
         with pytest.raises(SingularMatrixError) as exc:
