@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .blockform import BlockUpperTriangular, _check_conforming, block_mul
+from .blockform import BlockUpperTriangular, _conforming, block_mul
 from .errors import AnalysisRefusedError, NoContractingNormError, ParseError, ShapeError
 from .matrixcore import (
     FROBENIUS,
@@ -56,13 +56,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Periodic:
-    """The infinite sequence cycling through a fixed finite list."""
+    """The infinite sequence cycling through a fixed finite list, read from
+    any iterable of factors."""
 
     cycle: tuple[BlockUpperTriangular, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cycle", tuple(self.cycle))
-        _check_conforming(self.cycle, "cycle")
+        object.__setattr__(self, "cycle", tuple(_conforming(self.cycle, "cycle")))
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ class Finite:
     members: tuple[BlockUpperTriangular, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        _check_conforming(self.members, "finite presentation")
+        members = tuple(_conforming(self.members, "finite presentation"))
+        object.__setattr__(self, "members", members)
 
     @property
     def cycle(self) -> tuple[BlockUpperTriangular, ...]:
@@ -121,7 +121,7 @@ class Verdict(enum.Enum):
 _CONVERGED = (Verdict.CERTIFIED_CONVERGED, Verdict.CONVERGED_NUMERICALLY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Divergence evidence: accumulation points or an unboundedness note."""
 
@@ -129,7 +129,7 @@ class Witness:
     points: tuple[np.ndarray, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalysisReport:
     verdict: Verdict
     limit: np.ndarray | None = None
@@ -140,7 +140,7 @@ class AnalysisReport:
 
     def __post_init__(self):
         if (self.limit is not None) != (self.verdict in _CONVERGED):
-            raise ValueError("limit present iff the verdict is a convergence")
+            raise ParseError("limit present iff the verdict is a convergence")
 
 
 def _limit_dense(l: np.ndarray) -> np.ndarray:
@@ -159,7 +159,7 @@ def uniform_certificate(cs: Sequence[np.ndarray]) -> ContractionCertificate | No
 
 
 def cycle_accumulation_points(
-    cycle: Sequence[BlockUpperTriangular],
+    cycle: Iterable[BlockUpperTriangular],
 ) -> list[np.ndarray]:
     """Exact limits of the phase subsequences X_{kp+j} of a periodic product.
 
@@ -171,8 +171,7 @@ def cycle_accumulation_points(
     duplicates are dropped.  The cycle is checked as :class:`Periodic`
     checks it.
     """
-    cycle = list(cycle)
-    _check_conforming(cycle, "cycle")
+    cycle = tuple(_conforming(cycle, "cycle"))
     p = next(p for p in range(1, len(cycle) + 1) if cycle[p:] + cycle[:p] == cycle)
     x = functools.reduce(block_mul, cycle[:p]).limit
     points = [x]
@@ -464,7 +463,7 @@ def corollary1_analyze(
     return AnalysisReport(verdict=Verdict.INCONCLUSIVE, certificate=cert)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RcpVerdict:
     """Outcome of the finite-set RCP test."""
 
@@ -477,7 +476,7 @@ class RcpVerdict:
 
 
 def certify_rcp(
-    sigma: Sequence[BlockUpperTriangular], atol: float = DEFAULT_ATOL
+    sigma: Iterable[BlockUpperTriangular], atol: float = DEFAULT_ATOL
 ) -> RcpVerdict:
     """Certify whether every infinite right product from *sigma* converges.
 
@@ -493,8 +492,7 @@ def certify_rcp(
     """
     if not (_is_number(atol) and 0 <= atol < math.inf):
         raise ParseError(f"atol must be a finite number >= 0, got {atol!r}")
-    sigma = list(sigma)
-    _check_conforming(sigma, "set")
+    sigma = tuple(_conforming(sigma, "set"))
     cert = _certificate_for_members(sigma, None)
     ls, pair = _worst_candidate_pair(sigma, atol)
     if pair is None:

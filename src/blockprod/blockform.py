@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -135,24 +135,41 @@ class BlockUpperTriangular:
 
 def _split(a) -> tuple[int, int]:
     """The block orders (s, m) of the factor *a*, the shape of its B-block:
-    the per-item part of :func:`_check_conforming`.  Raises
-    :class:`ParseError` when *a* is not a :class:`BlockUpperTriangular`."""
+    the per-item part of :func:`_conforming`.  Raises :class:`ParseError`
+    when *a* is not a :class:`BlockUpperTriangular`."""
     if not isinstance(a, BlockUpperTriangular):
         raise ParseError(f"expected a BlockUpperTriangular, got {type(a).__name__}")
     return a.b.shape
 
 
-def _check_conforming(factors: Sequence[BlockUpperTriangular], what: str) -> None:
-    """The one check of a list of *factors*, named *what* in the messages:
-    it is nonempty (else :class:`ShapeError`), each item is a
-    :class:`BlockUpperTriangular` (else :class:`ParseError`), and all share
-    the block orders (s, m) of the first (else :class:`ShapeError`)."""
-    if not factors:
+def _conforming(
+    factors: Iterable[BlockUpperTriangular], what: str, nonempty: bool = True
+) -> Iterator[BlockUpperTriangular]:
+    """The one check of a list or stream of *factors*, named *what* in the
+    messages, which yields each factor as it is read and checked: *factors*
+    is iterable (else :class:`ParseError`), each item is a
+    :class:`BlockUpperTriangular` (else :class:`ParseError`) with the block
+    orders (s, m) of the first (else :class:`ShapeError`), and, if
+    *nonempty*, there is one (else :class:`ShapeError`).  Items are read
+    one at a time, as they are asked for."""
+    try:
+        items = iter(factors)
+    except TypeError:
+        raise ParseError(
+            f"a {what} must be an iterable of BlockUpperTriangular, "
+            f"got {type(factors).__name__}"
+        ) from None
+    first = None
+    for n, a in enumerate(items, start=1):
+        split = _split(a)
+        first = first or split
+        if split != first:
+            raise ShapeError(
+                f"{what} factor {n} has (s, m) = {split}; the {what} began with {first}"
+            )
+        yield a
+    if first is None and nonempty:
         raise ShapeError(f"{what} must be nonempty")
-    split = _split(factors[0])
-    for a in factors[1:]:
-        if _split(a) != split:
-            raise ShapeError(f"all members of a {what} must share the same (s, d)")
 
 
 def block_mul(a1: BlockUpperTriangular, a2: BlockUpperTriangular) -> BlockUpperTriangular:
@@ -161,5 +178,5 @@ def block_mul(a1: BlockUpperTriangular, a2: BlockUpperTriangular) -> BlockUpperT
     The product of [[I, B1],[0, C1]] and [[I, B2],[0, C2]] is
     [[I, B2 + B1 C2], [0, C1 C2]].
     """
-    _check_conforming((a1, a2), "product")
+    a1, a2 = _conforming((a1, a2), "product")
     return BlockUpperTriangular(a1.s, a2.b + a1.b @ a2.c, a1.c @ a2.c)

@@ -125,7 +125,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_certify_rcp(args) -> int:
     doc = _load_sequence(args.input, want_set=True)
-    verdict = certify_rcp(list(doc.members), atol=args.atol)
+    verdict = certify_rcp(doc.members, atol=args.atol)
     sys.stdout.write(format_rcp_verdict(verdict))
     return EXIT_OK if verdict.is_rcp else EXIT_NOT_RCP
 

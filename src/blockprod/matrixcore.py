@@ -99,18 +99,37 @@ def _is_number(x, kind=numbers.Real) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+#: entry types numpy converts to numbers that are not numbers here
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+_NOT_A_MATRIX = "matrix entries must be numbers in rows of one length"
+
+
+def _holds_non_numbers(data) -> bool:
+    """Whether the array-like *data*, which numpy read as a matrix, has an
+    entry that is a bool, a string or bytes: an ndarray by its dtype (an
+    object array by its entries), anything else by its entries, since numpy
+    reads [[True, 0.5]] as float64 and the bool is lost."""
+    if isinstance(data, np.ndarray) and data.dtype.kind != "O":
+        return data.dtype.kind in "bSU"
+    return any(isinstance(x, _NOT_NUMBERS) for x in np.asarray(data, dtype=object).flat)
+
+
 def as_matrix(data) -> np.ndarray:
     """Coerce 2-D *data* to a complex128 array, rejecting with
     :class:`ShapeError` what numpy cannot read as one (entries that are not
-    numbers, rows of different lengths), every other number of dimensions
-    (a vector is not read as a row) and NaN/Inf entries: the one coercion
-    of matrix data.  A complex128 ndarray is returned as it is, not copied."""
+    numbers, rows of different lengths), bool, string and bytes entries,
+    every other number of dimensions (a vector is not read as a row) and
+    NaN/Inf entries: the one coercion of matrix data.  A complex128 ndarray
+    is returned as it is, not copied, and its entries' types are not
+    inspected."""
     try:
         m = np.asarray(data, dtype=np.complex128)
     except (TypeError, ValueError, OverflowError):
-        raise ShapeError("matrix entries must be numbers in rows of one length") from None
+        raise ShapeError(_NOT_A_MATRIX) from None
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
+    if m is not data and _holds_non_numbers(data):
+        raise ShapeError(_NOT_A_MATRIX)
     if np.count_nonzero(np.isfinite(m)) != m.size:
         raise ShapeError("matrix entries must be finite")
     return m

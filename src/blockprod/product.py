@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .blockform import BlockUpperTriangular, _check_conforming, _limits, _split
+from .blockform import BlockUpperTriangular, _conforming, _limits, _split
 from .errors import BlockprodError, DeviationIdentityError, ShapeError
 from .matrixcore import (
     ContractionCertificate,
@@ -52,7 +52,7 @@ __all__ = [
 IDENTITY_TOL = 1e-10
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ProductState:
     """Immutable snapshot of a partial right product.
 
@@ -85,7 +85,7 @@ class ProductState:
     norm_gamma: float | None = None
     #: the step :func:`_advance` took from this state, as (factor,
     #: certificate, weak reference to the next state), for :func:`step`
-    _next: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _next: tuple | None = field(default=None, init=False, repr=False)
 
     def __init__(
         self, n, x, gamma, l, d_dev, y_prev, bound,
@@ -132,23 +132,17 @@ def _chunk_length(m: int) -> int:
 def _stream_chunks(
     factors: Iterable[BlockUpperTriangular], horizon: int
 ) -> Iterator[list[BlockUpperTriangular]]:
-    """The first *horizon* factors of a stream, which must all be
-    :class:`BlockUpperTriangular` (else :class:`ParseError`) and share the
-    block orders (s, m) of the first (else :class:`ShapeError`), in chunks
-    of the step engine's length for their C-block order.  When reading
-    raises inside a chunk, the factors read before are yielded first, so a
-    consumer that reaches a verdict among them never sees the exception."""
+    """The first *horizon* factors of a stream, read through
+    :func:`~blockprod.blockform._conforming` and never past the horizon, in
+    chunks of the step engine's length for their C-block order.  When
+    reading raises inside a chunk, the factors read before are yielded
+    first, so a consumer that reaches a verdict among them never sees the
+    exception."""
     chunk: list[BlockUpperTriangular] = []
     try:
-        for n, a in enumerate(itertools.islice(factors, horizon), start=1):
-            split = _split(a)
-            if n == 1:
-                first, size = split, _chunk_length(split[1])
-            elif split != first:
-                raise ShapeError(
-                    f"stream factor {n} has (s, m) = {split}; "
-                    f"the stream began with {first}"
-                )
+        for a in itertools.islice(_conforming(factors, "stream", False), horizon):
+            if not chunk:
+                size = _chunk_length(a.csize)
             chunk.append(a)
             if len(chunk) == size:
                 yield chunk
@@ -316,13 +310,14 @@ def step(
     return done.states[0]
 
 
-def explicit_sum(seq: Sequence[BlockUpperTriangular], n: int) -> np.ndarray:
+def explicit_sum(seq: Iterable[BlockUpperTriangular], n: int) -> np.ndarray:
     """X_n by the explicit telescoped sum sum_i B_{n-i} (C_{n+1-i} ... C_n).
 
     The i = 0 term carries the empty product (the identity).  Agrees with
-    the step recurrence to rounding.  *seq* is checked as a cycle is.
+    the step recurrence to rounding.  *seq* may be any iterable, and is
+    checked as a cycle is.
     """
-    _check_conforming(seq, "sequence")
+    seq = tuple(_conforming(seq, "sequence"))
     if not 1 <= n <= len(seq):
         raise IndexError(f"n={n} out of range for sequence of length {len(seq)}")
     acc = np.zeros_like(seq[0].b)
@@ -333,10 +328,10 @@ def explicit_sum(seq: Sequence[BlockUpperTriangular], n: int) -> np.ndarray:
     return acc
 
 
-def dense_partial_product(seq: Sequence[BlockUpperTriangular], n: int) -> np.ndarray:
+def dense_partial_product(seq: Iterable[BlockUpperTriangular], n: int) -> np.ndarray:
     """Brute-force P_n by left-to-right dense multiplication (the oracle);
-    *seq* is checked as a cycle is."""
-    _check_conforming(seq, "sequence")
+    *seq* may be any iterable, and is checked as a cycle is."""
+    seq = tuple(_conforming(seq, "sequence"))
     if not 1 <= n <= len(seq):
         raise IndexError(f"n={n} out of range for sequence of length {len(seq)}")
     out = seq[0].to_dense()

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import warnings
 from pathlib import Path
 
@@ -361,7 +362,9 @@ class TestPresentationShapes:
         ids=["other_s", "other_m"],
     )
     def test_mixed_split_refused(self, build, other):
-        with pytest.raises(ShapeError, match="same"):
+        # the message a stream gets: the item's (s, m), then the first's
+        split = re.escape(f" factor 2 has (s, m) = {other.b.shape}; the ")
+        with pytest.raises(ShapeError, match=split + r".+ began with \(1, 1\)$"):
             build((A_HALF, other))
 
 
@@ -466,6 +469,8 @@ class TestCorollary1:
         for seq in (Periodic((grow,)), Finite((A_HALF, grow))):
             with pytest.raises(AnalysisRefusedError):
                 corollary1_analyze(seq, [[1.5]])
+        with pytest.raises(AnalysisRefusedError, match="spectral radius < 1"):
+            corollary1_analyze(Stream(iter([grow])), [[1.5]])
 
     @pytest.mark.parametrize("presentation", [Periodic, Finite])
     def test_refuses_c_blocks_other_than_the_limit(self, presentation):

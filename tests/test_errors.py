@@ -1,13 +1,17 @@
 """A malformed parameter, matrix datum or list of factors given to a public
 function raises a typed :class:`BlockprodError`, worded per parameter, and
 never a bare ``ValueError``, ``TypeError``, ``AttributeError`` or
-``StopIteration``, nor broadcasts."""
+``StopIteration``, nor broadcasts; and the records that hold matrices
+compare and hash without raising."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from blockprod import (
     AnalysisRefusedError,
+    AnalysisReport,
     AnalyzerConfig,
     BlockUpperTriangular,
     BlockprodError,
@@ -21,6 +25,7 @@ from blockprod import (
     Periodic,
     ShapeError,
     Stream,
+    Verdict,
     analyze,
     as_matrix,
     block_mul,
@@ -104,6 +109,30 @@ MALFORMED = [
      InvalidCertificateError),
     ("identity_order_true", lambda: BlockUpperTriangular(True, [[1.0]], [[0.5]]),
      ShapeError),
+    # a factor where a list or stream of factors belongs, and booleans and
+    # strings in matrix data, which numpy reads as numbers
+    ("periodic_of_a_factor", lambda: Periodic(A_HALF), ParseError),
+    ("finite_of_a_factor", lambda: Finite(A_HALF), ParseError),
+    ("set_of_a_factor", lambda: certify_rcp(A_HALF), ParseError),
+    ("cycle_points_of_a_factor", lambda: cycle_accumulation_points(A_HALF), ParseError),
+    ("explicit_sum_of_a_factor", lambda: explicit_sum(A_HALF, 1), ParseError),
+    ("dense_product_of_a_factor", lambda: dense_partial_product(A_HALF, 1),
+     ParseError),
+    ("stream_of_an_int", lambda: analyze(Stream(5), cert=CERT), ParseError),
+    ("corollary1_stream_of_an_int", lambda: corollary1_analyze(Stream(5), [[0.5]]),
+     ParseError),
+    ("bool_and_string_blocks", lambda: BlockUpperTriangular(1, [[True]], [["0.5"]]),
+     ShapeError),
+    ("string_c_block", lambda: BlockUpperTriangular(1, [[1.0]], [["0.5"]]), ShapeError),
+    ("norm_of_strings", lambda: norm_value([["0.5"]], INF_NORM), ShapeError),
+    ("bool_among_floats", lambda: as_matrix([[True, 0.5]]), ShapeError),
+    ("bytes_entry", lambda: as_matrix([[b"1"]]), ShapeError),
+    ("bool_array", lambda: as_matrix(np.array([[True]])), ShapeError),
+    ("string_array", lambda: as_matrix(np.array([["1"]])), ShapeError),
+    ("bool_in_object_array", lambda: as_matrix(np.array([[1, np.True_]], dtype=object)),
+     ShapeError),
+    ("converged_report_without_limit",
+     lambda: AnalysisReport(Verdict.CERTIFIED_CONVERGED), ParseError),
 ]  # fmt: skip
 
 
@@ -133,8 +162,18 @@ HORIZON = "horizon must be an integer >= 20, got "
             lambda: certify_rcp([A_HALF, A_TWO], atol=-1.0),
             "atol must be a finite number >= 0, got -1.0",
         ),
+        (
+            lambda: Periodic(5),
+            "a cycle must be an iterable of BlockUpperTriangular, got int",
+        ),
+        (
+            lambda: analyze(Stream(A_HALF), cert=CERT),
+            "a stream must be an iterable of BlockUpperTriangular, "
+            "got BlockUpperTriangular",
+        ),
     ],
-    ids=["eps_nan", "eps_zero", "horizon_19", "horizon_float", "atol_negative"],
+    ids=["eps_nan", "eps_zero", "horizon_19", "horizon_float", "atol_negative",
+         "cycle_not_iterable", "stream_not_iterable"],
 )
 def test_each_parameter_names_itself(build, message):
     with pytest.raises(ParseError) as info:
@@ -147,3 +186,18 @@ def test_cli_defaults_are_the_library_defaults():
     assert parser.parse_args(["analyze", "--input", "f"]).eps == AnalyzerConfig().eps
     assert parser.parse_args(["certify-rcp", "--input", "f"]).atol == DEFAULT_ATOL
     assert certify_rcp.__defaults__ == (DEFAULT_ATOL,)
+
+
+def test_records_holding_matrices_compare_and_hash_by_identity():
+    # a limit of more than one entry, a witness with points, a state: a
+    # generated __eq__ compared their arrays inside a tuple, and raised
+    a = BlockUpperTriangular(1, [[1.0, 2.0]], 0.5 * np.eye(2))
+    report = analyze(Periodic([a]))
+    verdict = certify_rcp([A_HALF, A_TWO])
+    state = step(initial_state(1, 1), A_HALF, CERT)
+    assert report.limit.size > 1 and verdict.witness.points
+    for record in (report, verdict, verdict.witness, state):
+        twin = replace(record)
+        assert record == record and record != twin
+        assert hash(record) == hash(record) != hash(twin)
+    assert analyze(Periodic([a])) != report

@@ -646,6 +646,10 @@ class TestLyapunovScaling:
         with pytest.raises(ShapeError, match="nonempty"):
             lyapunov_scaling(np.zeros((0, 0)))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ShapeError, match="^matrix must be square$"):
+            lyapunov_scaling([[0.1, 0.2]])
+
     def test_rejects_expanding(self):
         with pytest.raises(NoContractingNormError):
             lyapunov_scaling([[1.5]])
@@ -883,6 +887,10 @@ class TestSpectralCertificate:
             spectral_certificate(np.zeros((0, 0)))
         with pytest.raises(ShapeError, match="nonempty"):
             uniform_certificate([np.zeros((0, 0))])
+
+    def test_rejects_matrices_of_two_orders(self):
+        with pytest.raises(ShapeError, match="square and of one order"):
+            uniform_certificate([0.5 * np.eye(2), 0.5 * np.eye(3)])
 
     def test_undecided_is_none(self):
         assert spectral_certificate([[1.5]]) is None

@@ -298,6 +298,10 @@ class TestDensePartialProduct:
         out = dense_partial_product([A_HALF] * 2, 2)
         assert np.abs(out - [[1.0, 1.5], [0.0, 0.25]]).max() < 1e-15
 
+    def test_out_of_range(self):
+        with pytest.raises(IndexError):
+            dense_partial_product([A_HALF], 2)
+
     def test_structure_preserved_exactly(self, rng):
         for _ in range(20):
             s = int(rng.integers(1, 4))

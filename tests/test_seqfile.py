@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 
@@ -7,7 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockprod import BUILTIN_NORMS, ParseError
+from blockprod import (
+    BUILTIN_NORMS,
+    INF_NORM,
+    BlockUpperTriangular,
+    ContractionCertificate,
+    ParseError,
+    Stream,
+    Verdict,
+    analyze,
+)
 from blockprod.cli import main
 from blockprod.product import TraceRow
 from blockprod.seqfile import (
@@ -16,6 +27,8 @@ from blockprod.seqfile import (
     fmt_complex,
     fmt_float,
     fmt_matrix,
+    format_report,
+    norm_by_name,
     parse_matrix_file,
     parse_sequence_text,
     trace_csv_line,
@@ -91,6 +104,22 @@ class TestParse:
     def test_malformed_rejected(self, mutation):
         with pytest.raises(ParseError):
             parse_sequence_text(mutation(VALID))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[]", "top level must be an object"),
+            (VALID.replace('"C"', '"D"'), "matrix entry 0 must carry B and C"),
+        ],
+        ids=["top_level_array", "entry_without_c"],
+    )
+    def test_structure_message(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_sequence_text(text)
+
+    def test_unknown_norm_name(self):
+        with pytest.raises(ParseError, match="^unknown norm name 'two'$"):
+            norm_by_name("two")
 
 
 def _invalid(v: str) -> str:
@@ -260,6 +289,13 @@ class TestMatrixFile:
         path = tmp_path / "m.json"
         path.write_text("[[1, 2]]")
         with pytest.raises(ParseError):
+            parse_matrix_file(path)
+
+    def test_rejects_a_matrix_field_that_is_no_array(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"matrix": 5}')
+        expected = "expected a 2-D array (or an object with a matrix field)"
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
             parse_matrix_file(path)
 
 
@@ -497,6 +533,14 @@ class TestFormatting:
     def test_complex(self):
         assert fmt_complex(2.0) == "2"
         assert fmt_complex(1 - 2j) == "(1-2j)"
+
+    def test_converged_stream_report_prints_its_deviation_bound(self):
+        a = BlockUpperTriangular(1, [[1.0]], [[0.5]])
+        cert = ContractionCertificate(INF_NORM, 0.5)
+        report = analyze(Stream(itertools.repeat(a, 100)), cert=cert)
+        assert report.verdict is Verdict.CONVERGED_NUMERICALLY
+        line = f"deviation bound: {fmt_float(report.deviation_bound)}\n"
+        assert line in format_report(report).splitlines(keepends=True)
 
     @settings(max_examples=200, deadline=None)
     @given(
