@@ -97,7 +97,11 @@ DEFAULT_ATOL = 1e-9  # the tolerance of certify_rcp and CLI certify-rcp by defau
 @dataclass(frozen=True)
 class AnalyzerConfig:
     """The tolerance *eps* > 0 of every verdict, and the number of stream
-    factors read, an integer >= the streak window of 20; else ParseError."""
+    factors read, an integer >= the streak window of 20; else ParseError.
+
+    Every *eps* test is a Frobenius distance between limit candidates (for
+    Corollary 1's streams, between B-blocks; a stream's ball test takes
+    their Frobenius norm), whatever the certificate."""
 
     eps: float = 1e-10
     horizon: int = 10000
@@ -190,8 +194,10 @@ def _certificate_for_members(
     """Check a given certificate against every member, by one
     ``_violation`` call on their stacked C-blocks as the step engine makes
     for a chunk, or search the C-blocks for one, with powers of a lone
-    distinct C-block if *powers* is set."""
+    distinct C-block if *powers* is set.  A given certificate that is not a
+    :class:`ContractionCertificate` raises :class:`InvalidCertificateError`."""
     if cert is not None:
+        cert = require_per_factor(cert)
         violation = cert._violation(_stack([a.c for a in members]), 1)
         if violation is not None:
             raise violation
@@ -268,15 +274,16 @@ class _StreakDetector:
     """Numerical verdicts on a stream of values v_1, v_2, ... that converge
     exactly when the product does.
 
-    ``update`` takes the next values, a stack, and their step gaps, the
-    norms of v_n - v_{n-1} (by default Frobenius), and returns the index of
-    the first value at which a test fires with its report: |v_n| leaves the
-    ball of radius 1/eps (diverged); 20 consecutive gaps are below eps
-    (converged); 20 consecutive values return near v_{n-2} while far from
-    v_{n-1} (diverged, with two accumulation points).  Every distance is
-    evaluated for the whole stack in one call, and the two latest values
-    are carried to the next stack.  *candidate* maps a value to its limit
-    candidate.
+    ``update`` takes the next values, a stack, and returns the index of the
+    first value at which a test fires with its report: |v_n| leaves the
+    ball of radius 1/eps (diverged); 20 consecutive gaps |v_n - v_{n-1}|
+    are below eps (converged); 20 consecutive values return near v_{n-2}
+    while far from v_{n-1} (diverged, with two accumulation points).  Every
+    size and distance is a Frobenius norm, whatever the certificate, so the
+    verdict does not depend on the norm that licenses it; all of them are
+    evaluated for the whole stack in one ``_norms`` call, and the two
+    latest values are carried to the next stack.  *candidate* maps a value
+    to its limit candidate.
     """
 
     cfg: AnalyzerConfig
@@ -287,9 +294,7 @@ class _StreakDetector:
     small_streak: int = 0
     osc_streak: int = 0
 
-    def update(
-        self, values: np.ndarray, gaps: Sequence[float] | None = None
-    ) -> tuple[int, AnalysisReport] | None:
+    def update(self, values: np.ndarray) -> tuple[int, AnalysisReport] | None:
         if not len(values):
             return None
         eps = self.cfg.eps
@@ -314,8 +319,7 @@ class _StreakDetector:
                 )
             if j < 1:
                 continue
-            gap = back1[j - 1] if gaps is None else gaps[i]
-            self.small_streak = self.small_streak + 1 if gap < eps else 0
+            self.small_streak = self.small_streak + 1 if back1[j - 1] < eps else 0
             if self.small_streak >= _STREAK_WINDOW:
                 return i, AnalysisReport(
                     verdict=Verdict.CONVERGED_NUMERICALLY,
@@ -350,7 +354,7 @@ def _analyze_stream(
     detector = _StreakDetector(cfg, cert, "limit candidate", lambda l: l)
     trace: list[TraceRow] = []
     for state, chunk, done in _run(seq.factors, cert, cfg.horizon):
-        fired = detector.update(done.ls, [st.norm_y for st in done.states])
+        fired = detector.update(done.ls)
         taken = len(done.states) if fired is None else fired[0] + 1
         # one public step per factor returns the state the chunk computed:
         # perfbench/tracing.py's self-test counts step and trace_row calls
@@ -385,7 +389,11 @@ def analyze(
     which :mod:`blockprod.product` reads and drives in chunks of up to 20
     factors: a stream may be read up to 19 factors past the step where a
     verdict fires (never past the horizon), and a failure at a later step of
-    that chunk, raised by a check or by the stream itself, is not raised.  Raises
+    that chunk, raised by a check or by the stream itself, is not raised.
+    Every ``cfg.eps`` test, on a cycle or a stream, is a Frobenius distance
+    between limit candidates (a stream's size test their Frobenius norm),
+    whatever the certificate: the certificate licenses the verdict and
+    bounds the deviation, but does not move it.  Raises
     :class:`AnalysisRefusedError` when no certificate is obtained or a limit
     candidate is not finite, :class:`CertificateViolationError` when the data
     contradict a given one, and :class:`InvalidCertificateError` when a given
@@ -393,8 +401,6 @@ def analyze(
     no factor).
     """
     cfg = cfg or AnalyzerConfig()
-    if cert is not None:
-        require_per_factor(cert)
     if isinstance(seq, (Periodic, Finite)):
         return _analyze_cycle(seq, cfg, cert)
     if isinstance(seq, Stream):

@@ -21,6 +21,18 @@ def _read_only_copy(data) -> np.ndarray:
     return m
 
 
+def _block_order(k, what: str) -> int:
+    """*k* if it is a block order, an integer >= 1 that is not a bool, else
+    :class:`ShapeError` naming *what*: the rule of
+    :class:`BlockUpperTriangular` and of the product layer's empty states."""
+    # int first: the abstract-class check alone costs a tenth of a factor at m = 4
+    if type(k) is not int and not _is_number(k, numbers.Integral):
+        raise ShapeError(f"{what} must be an integer, got {k!r}")
+    if k < 1:
+        raise ShapeError(f"{what} must be >= 1")
+    return k
+
+
 def _limits(
     factors: Sequence[BlockUpperTriangular],
 ) -> tuple[list[np.ndarray], BlockprodError | None]:
@@ -79,11 +91,7 @@ class BlockUpperTriangular:
         s, b, c = self.s, _read_only_copy(self.b), _read_only_copy(self.c)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        # int first: the abstract-class check alone costs a tenth of a factor at m = 4
-        if type(s) is not int and not _is_number(s, numbers.Integral):
-            raise ShapeError(f"identity block order must be an integer, got {s!r}")
-        if s < 1:
-            raise ShapeError("identity block order must be >= 1")
+        _block_order(s, "identity block order")
         rows, m = c.shape
         if rows != m or m < 1:
             raise ShapeError("lower-right block must be square and nonempty")

@@ -99,14 +99,14 @@ def _is_number(x, kind=numbers.Real) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
-#: entry types numpy converts to numbers that are not numbers here
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+#: entry types numpy converts to numbers (None to NaN) that are not numbers here
+_NOT_NUMBERS = (bool, np.bool_, str, bytes, type(None))
 _NOT_A_MATRIX = "matrix entries must be numbers in rows of one length"
 
 
 def _holds_non_numbers(data) -> bool:
     """Whether the array-like *data*, which numpy read as a matrix, has an
-    entry that is a bool, a string or bytes: an ndarray by its dtype (an
+    entry that is a bool, a string, bytes or None: an ndarray by its dtype (an
     object array by its entries), anything else by its entries, since numpy
     reads [[True, 0.5]] as float64 and the bool is lost."""
     if isinstance(data, np.ndarray) and data.dtype.kind != "O":
@@ -117,7 +117,7 @@ def _holds_non_numbers(data) -> bool:
 def as_matrix(data) -> np.ndarray:
     """Coerce 2-D *data* to a complex128 array, rejecting with
     :class:`ShapeError` what numpy cannot read as one (entries that are not
-    numbers, rows of different lengths), bool, string and bytes entries,
+    numbers, rows of different lengths), bool, string, bytes and None entries,
     every other number of dimensions (a vector is not read as a row) and
     NaN/Inf entries: the one coercion of matrix data.  A complex128 ndarray
     is returned as it is, not copied, and its entries' types are not

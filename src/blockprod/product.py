@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 from functools import reduce
@@ -23,10 +24,11 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .blockform import BlockUpperTriangular, _conforming, _limits, _split
-from .errors import BlockprodError, DeviationIdentityError, ShapeError
+from .blockform import BlockUpperTriangular, _block_order, _conforming, _limits, _split
+from .errors import BlockprodError, DeviationIdentityError, ParseError, ShapeError
 from .matrixcore import (
     ContractionCertificate,
+    _is_number,
     _norms,
     _stack,
     require_per_factor,
@@ -101,12 +103,14 @@ class ProductState:
 
 
 def initial_state(s: int, csize: int) -> ProductState:
-    """The empty product: X = 0, Gamma = I."""
-    x = np.zeros((s, csize), dtype=np.complex128)
+    """The empty product: X = 0, Gamma = I.  Block orders that are not
+    integers >= 1 raise :class:`ShapeError`, as in
+    :class:`BlockUpperTriangular`."""
+    x, gamma = left_product_init(s, csize)
     return ProductState(
         n=0,
         x=x,
-        gamma=np.eye(csize, dtype=np.complex128),
+        gamma=gamma,
         l=x,
         d_dev=x,
         y_prev=None,
@@ -274,7 +278,8 @@ def step(
     alive, it is returned.
 
     A certificate that is not a :class:`ContractionCertificate` raises
-    :class:`InvalidCertificateError`, a factor that is not a
+    :class:`InvalidCertificateError`, a state that is not a
+    :class:`ProductState` or a factor that is not a
     :class:`BlockUpperTriangular` :class:`ParseError`, and a factor whose
     B-block does not have the shape of X :class:`ShapeError`.  A factor
     whose C-block's norm is above the rate or NaN raises
@@ -292,6 +297,8 @@ def step(
     :func:`_run` drives the same engine on chunks of up to 20 factors for
     stream ``analyze`` and CLI ``product``, with bit-identical states.
     """
+    if not isinstance(state, ProductState):
+        raise ParseError(f"expected a ProductState, got {type(state).__name__}")
     ahead = state._next
     if ahead is not None and ahead[0] is a and ahead[1] is cert:
         new = ahead[2]()
@@ -310,6 +317,20 @@ def step(
     return done.states[0]
 
 
+def _prefix(
+    seq: Iterable[BlockUpperTriangular], n: int
+) -> tuple[BlockUpperTriangular, ...]:
+    """The first *n* factors of *seq*, which is checked as a cycle is; an *n*
+    that is not an integer raises :class:`ParseError`, and one outside 1 to
+    the number of factors :class:`IndexError`."""
+    seq = tuple(_conforming(seq, "sequence"))
+    if not _is_number(n, numbers.Integral):
+        raise ParseError(f"n must be an integer, got {n!r}")
+    if not 1 <= n <= len(seq):
+        raise IndexError(f"n={n} out of range for sequence of length {len(seq)}")
+    return seq[:n]
+
+
 def explicit_sum(seq: Iterable[BlockUpperTriangular], n: int) -> np.ndarray:
     """X_n by the explicit telescoped sum sum_i B_{n-i} (C_{n+1-i} ... C_n).
 
@@ -317,9 +338,7 @@ def explicit_sum(seq: Iterable[BlockUpperTriangular], n: int) -> np.ndarray:
     the step recurrence to rounding.  *seq* may be any iterable, and is
     checked as a cycle is.
     """
-    seq = tuple(_conforming(seq, "sequence"))
-    if not 1 <= n <= len(seq):
-        raise IndexError(f"n={n} out of range for sequence of length {len(seq)}")
+    seq = _prefix(seq, n)
     acc = np.zeros_like(seq[0].b)
     suffix = np.eye(seq[0].csize, dtype=np.complex128)
     for i in range(n):
@@ -331,9 +350,7 @@ def explicit_sum(seq: Iterable[BlockUpperTriangular], n: int) -> np.ndarray:
 def dense_partial_product(seq: Iterable[BlockUpperTriangular], n: int) -> np.ndarray:
     """Brute-force P_n by left-to-right dense multiplication (the oracle);
     *seq* may be any iterable, and is checked as a cycle is."""
-    seq = tuple(_conforming(seq, "sequence"))
-    if not 1 <= n <= len(seq):
-        raise IndexError(f"n={n} out of range for sequence of length {len(seq)}")
+    seq = _prefix(seq, n)
     out = seq[0].to_dense()
     for a in seq[1:n]:
         out = out @ a.to_dense()
@@ -365,15 +382,21 @@ def _dense_cycle_product(
 
 
 def left_product_init(s: int, csize: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z_0 = 0, Gamma_0 = I for the left product A_n ... A_1."""
+    """Z_0 = 0, Gamma_0 = I for the left product A_n ... A_1.  Block orders
+    that are not integers >= 1 raise :class:`ShapeError`."""
+    s = _block_order(s, "identity block order")
+    csize = _block_order(csize, "C-block order")
     return np.zeros((s, csize), dtype=np.complex128), np.eye(csize, dtype=np.complex128)
 
 
 def left_product_step(
     zstate: tuple[np.ndarray, np.ndarray], a: BlockUpperTriangular
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One left-multiplication: Z' = Z + B Gamma, Gamma' = C Gamma."""
-    z, gamma = zstate
+    """One left-multiplication: Z' = Z + B Gamma, Gamma' = C Gamma.  A
+    *zstate* that is not a pair of arrays raises :class:`ParseError`."""
+    z, gamma = zstate if isinstance(zstate, tuple) and len(zstate) == 2 else (0, 0)
+    if not (isinstance(z, np.ndarray) and isinstance(gamma, np.ndarray)):
+        raise ParseError("a left-product state must be a pair of arrays (Z, Gamma)")
     s, m = _split(a)
     if z.shape != (s, m) or gamma.shape != (m, m):
         raise ShapeError("state does not conform to the factor's block split")
@@ -394,7 +417,12 @@ class TraceRow(NamedTuple):
 def trace_row(state: ProductState, cert: ContractionCertificate) -> TraceRow:
     """The diagnostics of *state*, which must have been stepped under *cert*:
     the norms :func:`step` kept on it.  Only when it kept no ||Gamma_n||, on
-    the empty product and a state built by hand, is that evaluated here."""
+    the empty product and a state built by hand, is that evaluated here.  A
+    *state* that is not a :class:`ProductState` raises :class:`ParseError`,
+    and a *cert* is checked as :func:`step` checks it."""
+    if not isinstance(state, ProductState):
+        raise ParseError(f"expected a ProductState, got {type(state).__name__}")
+    cert = require_per_factor(cert)
     norm_gamma = state.norm_gamma
     if norm_gamma is None:
         gamma = np.ascontiguousarray(state.gamma)[None]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blockprod import (
     AnalysisRefusedError,
@@ -28,12 +28,14 @@ from blockprod import (
     corollary1_analyze,
     cycle_accumulation_points,
     dense_partial_product,
+    lyapunov_norm,
     lyapunov_scaling,
     norm_value,
     spectral_certificate,
     uniform_certificate,
 )
 from blockprod.analyzer import _certificate_for_members, _worst_candidate_pair
+from blockprod.matrixcore import FROBENIUS, ONE_NORM
 from blockprod.seqfile import format_report, parse_sequence_file
 from conftest import gelfand_only_c, random_block, random_complex, random_contracting
 
@@ -51,6 +53,26 @@ def mixed_split_stream():
     return Stream(
         iter([A_HALF, BlockUpperTriangular(2, [[1.0], [2.0]], [[0.5]])])
     )
+
+
+def period_two_stream():
+    """Candidates 2 and 6 in turn (s = 2, m = 1), which diverge, under
+    P = 1."""
+    c = np.array([[0.5]])
+    factors = [BlockUpperTriangular(2, [[b], [b]], c) for b in (1.0, 3.0)] * 50
+    return factors, c, np.eye(1)
+
+
+def settling_stream():
+    """B_k = (L + 0.7^k N_k)(I - c), k < 300, with ||c||_inf = 0.5: candidates
+    that settle at L, under the Stein scaling of c."""
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal((3, 3))
+    c *= 0.5 / norm_value(c, INF_NORM)
+    l = rng.standard_normal((2, 3))
+    noise = [0.7**k * rng.standard_normal((2, 3)) for k in range(300)]
+    factors = [BlockUpperTriangular(2, (l + n) @ (np.eye(3) - c), c) for n in noise]
+    return factors, c, lyapunov_scaling(c).scaling
 
 
 def closest(points, target):
@@ -402,6 +424,33 @@ class TestAnalyzeStream:
         report = analyze(Stream(factors), cfg, cert=self.CERT)
         assert report.verdict is Verdict.DIVERGED_NUMERICALLY
 
+    @pytest.mark.parametrize(
+        "stream, verdict, n",
+        [
+            (period_two_stream, Verdict.DIVERGED_NUMERICALLY, 22),
+            (settling_stream, Verdict.CONVERGED_NUMERICALLY, 88),
+        ],
+        ids=["period_two", "settling"],
+    )
+    def test_verdict_does_not_depend_on_the_certificate(self, stream, verdict, n):
+        # every certificate that holds licenses the same verdict, at the same
+        # n, with the same limit and witness bits: each streak test is a
+        # Frobenius distance between candidates, whatever the norm
+        factors, c, p = stream()
+        outcomes = set()
+        lyapunov = [lyapunov_norm(p), lyapunov_norm(1e30 * p)]
+        for norm in [INF_NORM, ONE_NORM, FROBENIUS, *lyapunov]:
+            rate = min(1.01 * norm_value(c, norm), 0.999)
+            kind = "lyapunov" if norm.kind == "lyapunov" else "declared"
+            cert = ContractionCertificate(norm, rate, kind)
+            report = analyze(Stream(factors), AnalyzerConfig(horizon=300), cert)
+            limit = None if report.limit is None else report.limit.tobytes()
+            points = report.witness.points if report.witness else ()
+            witness = tuple(q.tobytes() for q in points)
+            outcomes.add((report.verdict, report.trace[-1].n, limit, witness))
+        assert len(outcomes) == 1
+        assert outcomes.pop()[:2] == (verdict, n)
+
     def test_gelfand_certificate_refused_on_empty_stream(self):
         with pytest.raises(InvalidCertificateError):
             analyze(Stream(iter([])), cert=GelfandCertificate(INF_NORM, 0.5, 2))
@@ -418,6 +467,52 @@ class TestAnalyzeStream:
         overflow = BlockUpperTriangular(1, [[1e308]], [[0.5]])  # L = 2e308
         with pytest.raises(AnalysisRefusedError, match="not finite"):
             analyze(Stream(iter([overflow, A_HALF])), cert=self.CERT)
+
+
+@st.composite
+def constant_or_geometric_streams(draw):
+    """(factors, cert): 120 factors with one C-block and B_n = B, or
+    B + q^n N, s, m <= 3 and entries of order 1, under the declared rate
+    ||C|| of a built-in norm, which holds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    norm = draw(st.sampled_from([INF_NORM, ONE_NORM, FROBENIUS]))
+    c = random_complex(rng, m, m)
+    c *= draw(st.floats(0.1, 0.9)) / norm_value(c, norm)
+    b, noise = random_complex(rng, s, m), random_complex(rng, s, m)
+    q = draw(st.one_of(st.just(0.0), st.floats(0.3, 0.8)))  # 0: constant
+    bs = [b + (q**n if q else 0.0) * noise for n in range(120)]
+    factors = [BlockUpperTriangular(s, bn, c) for bn in bs]
+    return factors, ContractionCertificate(norm, norm_value(c, norm))
+
+
+HALVES = [BlockUpperTriangular(1, [[1.0 + 0.5**n]], [[0.5]]) for n in range(120)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+@settings(max_examples=40, deadline=None, report_multiple_bugs=False)
+@example(stream=([A_HALF] * 120, TestAnalyzeStream.CERT), k=37)  # left the ball at n = 1
+@example(stream=(HALVES, TestAnalyzeStream.CERT), k=-30)  # fires at n = 25, not 55
+@example(stream=(HALVES, TestAnalyzeStream.CERT), k=20)  # fires at n = 74, not 55
+@given(stream=constant_or_geometric_streams(), k=st.integers(-40, 40))
+def test_stream_verdicts_do_not_depend_on_the_units_of_b(stream, k):
+    # scaling every B-block by 2^k is exact, and scales X_n, L_n, D_n, Y_n,
+    # the limit and the bound by 2^k while Gamma_n stays as it is; the
+    # streak tests compare absolute distances with eps, so the verdict moves
+    factors, cert = stream
+    scale, s = 2.0**k, factors[0].s
+    scaled = [BlockUpperTriangular(s, a.b * scale, a.c) for a in factors]
+    cfg = AnalyzerConfig(horizon=120)
+    base, got = analyze(Stream(factors), cfg, cert), analyze(Stream(scaled), cfg, cert)
+    assert got.verdict is base.verdict and len(got.trace) == len(base.trace)
+    if base.limit is not None:
+        assert np.array_equal(got.limit[:s, s:], base.limit[:s, s:] * scale)
+        assert got.deviation_bound == base.deviation_bound * scale
+    points = [(p * scale).tobytes() for p in (base.witness.points if base.witness else ())]
+    assert [q.tobytes() for q in (got.witness.points if got.witness else ())] == points
+    for row, twin in zip(base.trace, got.trace):
+        assert twin.n == row.n and twin.norm_gamma == row.norm_gamma
+        assert twin[1:5] == tuple(v * scale for v in row[1:5])
 
 
 class TestAnalyzerConfig:

@@ -523,8 +523,8 @@ class TestStreamReading:
 
 @st.composite
 def value_streams(draw):
-    """Streams of 1 x 2 values that settle, oscillate, grow or wander, with
-    per-step gaps, and a way to split them into chunks."""
+    """Streams of 1 x 2 values that settle, oscillate, grow or wander, and a
+    way to split them into chunks."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 120))
     pattern = draw(st.sampled_from(["settle", "oscillate", "grow", "wander"]))
@@ -537,9 +537,8 @@ def value_streams(draw):
             values[i] = values[start + (i - start) % 2]
         elif pattern == "grow":
             values[i] *= 10.0 ** (i - start)
-    gaps = draw(st.one_of(st.none(), st.just("tiny")))
     splits = draw(st.lists(st.integers(1, 25), min_size=1, max_size=20))
-    return values, gaps, splits
+    return values, splits
 
 
 class TestStreakDetector:
@@ -548,8 +547,7 @@ class TestStreakDetector:
     def test_chunks_fire_where_single_values_fire(self, case):
         from blockprod.analyzer import _StreakDetector
 
-        values, gaps, splits = case
-        gap_list = None if gaps is None else [1e-12] * len(values)
+        values, splits = case
         cfg = AnalyzerConfig(eps=1e-9, horizon=1000)
 
         def fire(sizes):
@@ -558,8 +556,7 @@ class TestStreakDetector:
             for size in sizes:
                 if i >= len(values):
                     return None
-                chunk_gaps = None if gap_list is None else gap_list[i : i + size]
-                fired = detector.update(values[i : i + size], chunk_gaps)
+                fired = detector.update(values[i : i + size])
                 if fired is not None:
                     at, report = fired
                     points = report.witness.points if report.witness else ()

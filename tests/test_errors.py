@@ -42,6 +42,7 @@ from blockprod import (
     solve_right,
     spectral_certificate,
     step,
+    trace_row,
     uniform_certificate,
 )
 from blockprod.analyzer import DEFAULT_ATOL
@@ -133,7 +134,25 @@ MALFORMED = [
      ShapeError),
     ("converged_report_without_limit",
      lambda: AnalysisReport(Verdict.CERTIFIED_CONVERGED), ParseError),
+    # the product layer's helpers: block orders by BlockUpperTriangular's
+    # rule, states by their type, certificates as step checks them
+    ("initial_state_order_float", lambda: initial_state(1.5, 2), ShapeError),
+    ("initial_state_order_true", lambda: initial_state(True, 1), ShapeError),
+    ("initial_state_order_zero", lambda: initial_state(0, 2), ShapeError),
+    ("left_init_order_float", lambda: left_product_init(1.5, 2), ShapeError),
+    ("left_init_order_negative", lambda: left_product_init(-1, 2), ShapeError),
+    ("step_of_a_non_state", lambda: step(5, A_HALF, CERT), ParseError),
+    ("trace_row_of_a_non_state", lambda: trace_row(5, CERT), ParseError),
+    ("trace_row_non_certificate", lambda: trace_row(initial_state(1, 1), 5),
+     InvalidCertificateError),
+    ("left_step_of_a_non_state", lambda: left_product_step(5, A_HALF), ParseError),
+    ("left_step_of_two_ints", lambda: left_product_step((1, 2), A_HALF), ParseError),
 ]  # fmt: skip
+MALFORMED += [
+    (f"{f.__name__}_n_{name}", lambda f=f, n=n: f([A_HALF], n), ParseError)
+    for f in (explicit_sum, dense_partial_product)
+    for name, n in [("float", 1.5), ("string", "1"), ("none", None), ("true", True)]
+]
 
 
 @pytest.mark.parametrize(

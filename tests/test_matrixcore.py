@@ -140,11 +140,16 @@ class TestAsMatrix:
 
     @pytest.mark.parametrize(
         "data",
-        ["x", [[1.0], [1.0, 2.0]], [[1.0, "a"]], [[object()]], [[10**400]], {"a": 1}],
-        ids=["string", "ragged", "word_entry", "object_entry", "huge_int", "dict"],
-    )
+        [
+            "x", [[1.0], [1.0, 2.0]], [[1.0, "a"]], [[object()]], [[10**400]], {"a": 1},
+            [[None]], np.array([[1.0, None]], dtype=object),
+        ],
+        ids=["string", "ragged", "word_entry", "object_entry", "huge_int", "dict",
+             "none_entry", "none_in_object_array"],
+    )  # fmt: skip
     def test_refuses_what_numpy_cannot_read(self, data):
-        # through every construction point, with no numpy error escaping
+        # through every construction point, with no numpy error escaping;
+        # numpy reads None as NaN, which is no number here either
         for build in (
             lambda: as_matrix(data),
             lambda: BlockUpperTriangular(1, data, [[0.5]]),
