@@ -661,6 +661,24 @@ class TestLyapunovScaling:
         with pytest.raises(NoContractingNormError):
             lyapunov_scaling([[0.0, 1.0], [-1.0, 0.0]])  # spectral radius 1
 
+    def test_refuses_an_inaccurate_stein_solution(self):
+        # the Schur solve of this ill-conditioned C leaves a relative
+        # residual of about 1e-6, far above the 1e-10 limit
+        c = [
+            [23737.513836844446 - 79325.9981035578j, -64190.10017083931 + 129328.15916878234j],
+            [5723.361998376365 - 47138.82921196503j, -23738.42612170674 + 79324.3853946145j],
+        ]
+        with pytest.raises(NoContractingNormError, match="^Stein residual "):
+            lyapunov_scaling(c)
+
+    def test_refuses_an_indefinite_stein_solution(self):
+        # P - 4P = 1 solves to P = -1/3
+        with pytest.raises(NoContractingNormError) as info:
+            lyapunov_scaling([[2.0]])
+        assert str(info.value) == (
+            "Stein solution is not positive definite; spectral radius >= 1 suspected"
+        )
+
 
 def kron_stein(cs):
     """Oracle: P - sum_i C_i* P C_i = I solved through the dense
@@ -1020,6 +1038,27 @@ class TestLapackSource:
             " scipy.linalg.get_lapack_funcs('getrs', dtype=np.complex128))"
         )
         assert run_fresh(script) == "True True True"
+
+    def test_an_imported_scipy_linalg_lends_its_module(self):
+        script = (
+            "import scipy.linalg\n"
+            "from blockprod import matrixcore\n"
+            "print(matrixcore._FLAPACK is scipy.linalg._flapack)"
+        )
+        assert run_fresh(script) == "True"
+
+    def test_a_later_scipy_linalg_holds_the_same_routines(self):
+        script = (
+            "from blockprod import matrixcore\n"
+            "import scipy.linalg\n"
+            "flapack = scipy.linalg._flapack\n"
+            "print(flapack.zgetrf is matrixcore._GETRF,"
+            " flapack.zgetrs is matrixcore._GETRS,"
+            " flapack.ztrtrs is matrixcore._TRTRS,"
+            " flapack.zgees is matrixcore._GEES,"
+            " flapack.dgesv is matrixcore._DGESV)"
+        )
+        assert run_fresh(script) == "True True True True True"
 
     @settings(max_examples=80, deadline=None)
     @given(c=schur_inputs())

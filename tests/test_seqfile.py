@@ -130,9 +130,9 @@ TOO_LARGE = "entry 0 B holds a number too large for a float"
 
 
 class TestNumberRule:
-    """Each bad scalar in a block that is otherwise all reals or all pairs
-    (the blocks read as one array) fails with the text of the per-scalar
-    reader."""
+    """Each bad scalar fails with its own exact message, after a real or a
+    pair alike, and the first failure in reading order is the one
+    reported."""
 
     @pytest.mark.parametrize(
         "scalar, message",
@@ -171,6 +171,17 @@ class TestNumberRule:
         with pytest.raises(ParseError) as info:
             parse_sequence_text(text)
         assert str(info.value) == _invalid("'x'")
+
+    @pytest.mark.parametrize("first", ["1" + "0" * 400, "[1" + "0" * 400 + ", 0]"],
+                             ids=["real", "pair"])
+    def test_first_failure_within_a_row(self, first):
+        # an int beyond a double is reported before a bad scalar after it
+        # in its row, and after one before it
+        for row, message in ([first, '"x"'], TOO_LARGE), (['"x"', first], _invalid("'x'")):
+            text = VALID.replace("[[1, [0, -2]]]", f"[[{', '.join(row)}]]")
+            with pytest.raises(ParseError) as info:
+                parse_sequence_text(text)
+            assert str(info.value) == message
 
     def test_largest_finite_int_is_read(self):
         big = 2**1024 - 2**970 - 1  # rounds down to the largest double
@@ -363,8 +374,8 @@ class TestDecodeBoundary:
     @given(tokens=st.lists(TOKENS, min_size=1, max_size=4), data=st.data())
     def test_every_number_reads_as_float_of_its_text(self, tokens, data, tmp_path_factory):
         m = len(tokens)
-        # B is all reals (read as one array); each C row mixes a pair with
-        # zeros (read one scalar at a time)
+        # B is all reals; each C row mixes a pair with real zeros, so both
+        # kinds of scalar are read, alone and mixed in one row
         c_rows = [
             "[" + ", ".join(
                 f"[{t}, {tokens[(i + 1) % m]}]" if j == i else "0" for j in range(m)
