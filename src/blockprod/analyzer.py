@@ -33,7 +33,6 @@ from .matrixcore import (
     as_matrix,
     norm_value,  # noqa: F401  (not called here; perfbench/tracing.py patches it)
     require_per_factor,
-    spectral_certificate,
 )
 from .product import TraceRow, _run, _stream_chunks, step, trace_row
 
@@ -155,7 +154,9 @@ def _limit_dense(l: np.ndarray) -> np.ndarray:
 
 def uniform_certificate(cs: Sequence[np.ndarray]) -> ContractionCertificate | None:
     """A single norm contracting every matrix in *cs*, or None: the search
-    without powers (the built-in norms, then a common Lyapunov scaling)."""
+    without powers (the built-in norms, then a common Lyapunov scaling).
+    A convenience for callers; the library runs the search itself, so that
+    a refusal names the search's reason."""
     try:
         return _certificate_search(cs)
     except NoContractingNormError:
@@ -379,9 +380,9 @@ def analyze(
 
     Periodic and Finite presentations share one branch, a Finite being the
     one-member cycle of its last member.  A given *cert* is checked on every
-    listed member.  Else the cycle's C-blocks are searched in the order of
-    :func:`spectral_certificate`: the built-in norms, then powers up to 64
-    if the cycle has one distinct C-block, then a common Lyapunov scaling.
+    listed member.  Else the cycle's C-blocks are searched for one: the
+    built-in norms, then powers up to 64 if the cycle has one distinct
+    C-block, then a common Lyapunov scaling.
     The verdict is Certified: the cycle converges iff its limit candidates
     lie within ``cfg.eps`` of each other (Frobenius), whatever member it
     starts at; a divergence witness lists every distinct phase limit.
@@ -421,9 +422,11 @@ def corollary1_analyze(
     cycle C-block (for Finite, the last member's) equals *c_limit*; otherwise
     this raises :class:`AnalysisRefusedError` (:class:`ShapeError` if the
     orders differ), and else returns :func:`analyze` of *seq*.  Streams get
-    the streak tests on their B-blocks under :func:`spectral_certificate` of
-    *c_limit*, refused when that finds nothing and Inconclusive when the
-    stream runs out.
+    the streak tests on their B-blocks under a certificate for *c_limit*
+    from the search with powers that :func:`spectral_certificate` also
+    makes; when it finds none, this raises :class:`AnalysisRefusedError`
+    naming the search's last reason.  A stream that runs out is
+    Inconclusive.
     """
     cfg = cfg or AnalyzerConfig()
     c_limit = as_matrix(c_limit)
@@ -438,11 +441,12 @@ def corollary1_analyze(
         return analyze(seq, cfg)
     if not isinstance(seq, Stream):
         raise ParseError(f"unsupported presentation {type(seq).__name__}")
-    cert = spectral_certificate(c_limit)
-    if cert is None:
+    try:
+        cert = _certificate_search([c_limit], powers=True)
+    except NoContractingNormError as exc:
         raise AnalysisRefusedError(
-            "could not certify that the limit C-block has spectral radius < 1"
-        )
+            f"could not certify that the limit C-block has spectral radius < 1: {exc}"
+        ) from None
     detector = _StreakDetector(
         cfg,
         cert,

@@ -32,7 +32,7 @@ from .errors import (
     NoContractingNormError,
     ParseError,
 )
-from .matrixcore import BUILTIN_NORMS, lyapunov_scaling, norm_value, spectral_certificate
+from .matrixcore import BUILTIN_NORMS, _certificate_search, lyapunov_scaling, norm_value
 from .product import _dense_cycle_product, _run, trace_row
 from .seqfile import (
     SequenceDocument,
@@ -63,14 +63,18 @@ def _load_sequence(path, want_set: bool) -> SequenceDocument:
     return doc
 
 
+def _presentation(doc: SequenceDocument) -> Periodic | Finite:
+    """The sequence that a periodic or finite file presents."""
+    return (Periodic if doc.kind == "periodic" else Finite)(doc.members)
+
+
 def cmd_product(args) -> int:
     doc = _load_sequence(args.input, want_set=False)
     if args.n < 1:
         raise ParseError("--n must be >= 1")
     cert = _certificate_for_members(doc.members, doc.certificate)
-    # a finite file's last member repeats forever
-    split = 0 if doc.kind == "periodic" else len(doc.members) - 1
-    prefix, cycle = doc.members[:split], doc.members[split:]
+    cycle = _presentation(doc).cycle
+    prefix = doc.members[: -len(cycle)]
     factors = itertools.chain(prefix, itertools.cycle(cycle))
     # the trace lines go to an anonymous temporary file as they are stepped,
     # so memory does not grow with --n, and reach the target only after the
@@ -117,8 +121,7 @@ def cmd_product(args) -> int:
 def cmd_analyze(args) -> int:
     doc = _load_sequence(args.input, want_set=False)
     cfg = AnalyzerConfig(eps=args.eps)
-    seq = Periodic(doc.members) if doc.kind == "periodic" else Finite(doc.members)
-    report = analyze(seq, cfg, cert=doc.certificate)
+    report = analyze(_presentation(doc), cfg, cert=doc.certificate)
     sys.stdout.write(format_report(report))
     return EXIT_OK
 
@@ -136,12 +139,7 @@ def cmd_norm(args) -> int:
         norm = lyapunov_scaling(m)
     else:
         given = None if args.kind == "auto" else norm_by_name(args.kind)
-        cert = spectral_certificate(m, given)
-        if cert is None:
-            raise NoContractingNormError(
-                "no contraction certificate found "
-                "(spectral radius >= 1 suspected, not proven)"
-            )
+        cert = _certificate_search([m], given, powers=True)
         print(f"certificate: {cert.describe()}")
         norm = cert.norm
     if norm.kind == "lyapunov":

@@ -613,7 +613,8 @@ def _certificate_search(
                         return GelfandCertificate(candidate, val ** (1.0 / k), k)
                 power, k = power @ c2, k + 2
     if norm is not None:
-        raise NoContractingNormError(f"no {norm.kind} norm below 1 was found")
+        tried = " for C or its even powers" if powers and len(cs) == 1 else ""
+        raise NoContractingNormError(f"no {norm.kind} norm below 1 was found{tried}")
     return _stein_certificate(cs)
 
 
@@ -625,6 +626,8 @@ def spectral_certificate(
     C^k, k = 2, 4, ..., 64 (``"gelfand"``), else a Lyapunov scaling.  A
     given *norm* is searched alone, with no Lyapunov step.  Returns None
     when undecided, which is *not* a proof that the spectral radius is >= 1.
+    A convenience for callers; the library runs the search itself, so that
+    a refusal names the search's reason.
     """
     try:
         return _certificate_search([c], norm, powers=True)

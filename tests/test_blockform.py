@@ -72,6 +72,11 @@ class TestOwnership:
         with pytest.raises(ValueError):
             a.limit[0, 0] = 1
 
+    def test_a_factor_equals_only_a_factor_of_equal_blocks(self):
+        a = scalar_form(1.0, 0.5)
+        assert a == scalar_form(1.0, 0.5) and a != scalar_form(1.0, 0.25)
+        assert a != 1 and a != "x"
+
     def test_limit_is_the_candidate_computed_once(self):
         a = scalar_form(1.0, 0.5)
         assert a.limit is a.limit

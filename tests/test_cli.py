@@ -741,6 +741,20 @@ class TestNorm:
         code, out, err = run(capsys, "norm", "--input", str(path))
         assert code == 4 and out == "" and "undecided" in err
 
+    @pytest.mark.parametrize(
+        "kind, reason",
+        [
+            ("auto", "Stein solution is not positive definite; "
+                     "spectral radius >= 1 suspected"),
+            ("inf", "no inf norm below 1 was found for C or its even powers"),
+        ],
+    )  # fmt: skip
+    def test_undecided_names_the_search_reason(self, capsys, tmp_path, kind, reason):
+        path = tmp_path / "two.json"
+        path.write_text("[[2.0]]")
+        code, out, err = run(capsys, "norm", "--input", str(path), "--kind", kind)
+        assert (code, out, err) == (4, "", f"undecided: {reason}\n")
+
     def test_auto_falls_back_to_lyapunov(self, capsys, tmp_path):
         # no built-in norm of a power up to 64 falls below 1
         path = tmp_path / "m.json"

@@ -598,6 +598,7 @@ class TestNormValue:
         assert a == lyapunov_norm(np.eye(2)) and hash(a) == hash(b)
         assert ContractionCertificate(a, 0.5) != ContractionCertificate(b, 0.5)
         assert INF_NORM == MatrixNorm("inf") and INF_NORM != ONE_NORM != a
+        assert INF_NORM != "inf"
 
     @pytest.mark.parametrize("kind", BUILTIN_NORMS, ids=lambda k: k.kind)
     def test_submultiplicative_builtin(self, rng, kind):

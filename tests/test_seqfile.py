@@ -228,6 +228,7 @@ def test_block_reads_as_per_scalar_reference(shape, scalars, data):
     assert out.tobytes() == _reference(block).tobytes()
 
 
+HUGE = st.sampled_from([10**400, [0, -(10**400)]])
 BAD = st.sampled_from([True, False, None, "1", [1], [1, 2, 3], [True, 1], [1, None],
                        [[1, 2], 3], 10**400, [0, -(10**400)], float("inf")])
 
@@ -246,10 +247,13 @@ def test_bad_scalar_fails_as_per_scalar_reading(shape, scalars, data):
     )
     i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
     block[i][j] = data.draw(BAD)
+    if j and data.draw(st.booleans()):  # an int beyond a double before it
+        block[i][data.draw(st.integers(0, j - 1))] = data.draw(HUGE)
     if data.draw(st.booleans()):  # and a short row after it
         block[-1] = block[-1][:-1]
     expected = None
     try:
+        # one scalar at a time, in reading order: its type, then its parts
         for r, row in enumerate(block):
             if len(row) != cols:
                 raise ParseError(f"x row {r} must hold {cols} scalars")
@@ -260,10 +264,11 @@ def test_bad_scalar_fails_as_per_scalar_reading(shape, scalars, data):
                 )
                 if not ok:
                     raise ParseError(_invalid(repr(v)))
-            try:
-                _reference([row])
-            except OverflowError:
-                raise ParseError("x holds a number too large for a float") from None
+                try:
+                    for part in v if type(v) is list else [v]:
+                        float(part)
+                except OverflowError:
+                    raise ParseError("x holds a number too large for a float") from None
         raise ParseError("x holds a non-finite number")
     except ParseError as exc:
         expected = str(exc)
